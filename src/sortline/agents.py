@@ -15,7 +15,7 @@ import numpy as np
 from .config import ConfigError, EnvConfig
 from .env import SortingLineEnv, StepResult
 from .rng import AGENT_STREAM, make_stream
-from .sorting import deterministic_accuracy, step_reward
+from .sorting import apply_mode, base_accuracy, deterministic_accuracy, step_reward
 from .types import (
     MODE_INDEX,
     Action,
@@ -61,6 +61,14 @@ class RandomAgent(Agent):
         return action_from_index(self._stream.randrange(action_count(self.variant)), self.variant)
 
 
+class _NoiseMean:
+    """Stand-in stream whose ``uniform`` returns the midpoint of its range."""
+
+    @staticmethod
+    def uniform(lo: float, hi: float) -> float:
+        return (lo + hi) / 2.0
+
+
 def expected_immediate_reward(
     config: EnvConfig,
     occ: float,
@@ -72,18 +80,11 @@ def expected_immediate_reward(
     In the advanced variant the observed ``category`` is taken to be the true
     regime, so a matching mode earns the bonus and a mismatch the malus.
     """
-    alpha = deterministic_accuracy(action.speed_index, occ, config)
     if config.variant is EnvVariant.ADVANCED:
-        if action.mode is category:
-            lo, hi = config.correct_mode_noise_range
-            alpha = min(alpha + 0.15, 1.0) - (lo + hi) / 2.0
-        else:
-            lo, hi = config.incorrect_mode_noise_range
-            alpha = max(alpha - 0.10, 0.0) - (lo + hi) / 2.0
+        pre_noise = deterministic_accuracy(action.speed_index, occ, config)
+        alpha = apply_mode(pre_noise, action.mode, category, config, _NoiseMean)
     else:
-        lo, hi = config.base_noise_range
-        alpha = alpha - (lo + hi) / 2.0
-    alpha = min(max(alpha, 0.0), 1.0)
+        alpha = base_accuracy(action.speed_index, occ, config, _NoiseMean)
     return step_reward(alpha, action.speed_index, config, speed_changed=False)
 
 
@@ -140,12 +141,17 @@ class RuleBasedAgent(Agent):
 QTABLE_MAGIC = "sortline-qtable"
 QTABLE_FORMAT_VERSION = 1
 
+EPSILON_START = 1.0
+EPSILON_FINAL = 0.05
+EPSILON_DECAY_FRACTION = 0.5
+
 
 class QLearningAgent(Agent):
     """One-step tabular Q-learning over binned observations.
 
-    Epsilon decays linearly from ``epsilon_start`` to ``epsilon_final`` over
-    the first ``epsilon_decay_fraction`` of the planned training steps.  With
+    Epsilon decays linearly from ``EPSILON_START`` (1.0) to ``EPSILON_FINAL``
+    (0.05) over the first ``EPSILON_DECAY_FRACTION`` (half) of the planned
+    training steps, then stays at ``EPSILON_FINAL``.  With
     ``learning`` off (the default outside ``train``), ``act`` is the greedy
     policy with ties toward the lower speed index.
     """
@@ -158,9 +164,6 @@ class QLearningAgent(Agent):
         bins: int = DEFAULT_BINS,
         learning_rate: float = 0.1,
         discount: float = 0.9,
-        epsilon_start: float = 1.0,
-        epsilon_final: float = 0.05,
-        epsilon_decay_fraction: float = 0.5,
         seed: int = 0,
     ):
         if bins < 1:
@@ -169,9 +172,6 @@ class QLearningAgent(Agent):
         self.bins = bins
         self.learning_rate = learning_rate
         self.discount = discount
-        self.epsilon_start = epsilon_start
-        self.epsilon_final = epsilon_final
-        self.epsilon_decay_fraction = epsilon_decay_fraction
         self._stream = make_stream(seed, AGENT_STREAM)
         states = bins * (len(MODE_INDEX) if variant is EnvVariant.ADVANCED else 1)
         self.values = np.zeros((states, action_count(variant)))
@@ -191,11 +191,11 @@ class QLearningAgent(Agent):
 
     def epsilon(self) -> float:
         """Current exploration rate under the linear decay schedule."""
-        horizon = self._planned_steps * self.epsilon_decay_fraction
+        horizon = self._planned_steps * EPSILON_DECAY_FRACTION
         if horizon <= 0:
-            return self.epsilon_final
+            return EPSILON_FINAL
         progress = min(self._steps_done / horizon, 1.0)
-        return self.epsilon_start + (self.epsilon_final - self.epsilon_start) * progress
+        return EPSILON_START + (EPSILON_FINAL - EPSILON_START) * progress
 
     def act(self, obs: Observation, epsilon: float | None = None) -> Action:
         state = self.state_index(obs)

@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .agents import QLearningAgent, RandomAgent, RuleBasedAgent
+from .agents import QLearningAgent, RandomAgent
 from .bench import default_agent_factories, export_trace, run_benchmark, run_episode, standard_setups
 from .config import ConfigError, EnvConfig, config_from_mapping, load_config_file
 from .server import serve
@@ -40,17 +40,19 @@ def _config_from_args(args: argparse.Namespace) -> EnvConfig:
     return config_from_mapping({k: v for k, v in overrides.items() if v is not None}, base=config)
 
 
+def _agent_factories(**options):
+    """The bundled agents plus a uniform random baseline seeded by the factory seed."""
+    factories = default_agent_factories(**options)
+    factories["random"] = lambda config, seed: RandomAgent(config.variant, seed=seed)
+    return factories
+
+
 def _make_agent(args: argparse.Namespace, config: EnvConfig):
-    if args.agent == "rba":
-        return RuleBasedAgent(config, bins=args.bins)
-    if args.agent == "random":
-        return RandomAgent(config.variant, seed=config.seed)
+    if args.agent != "qtable":
+        return _agent_factories(bins=args.bins)[args.agent](config, config.seed)
     if not args.table:
         raise ConfigError("--agent qtable needs --table FILE (see the train command)")
-    agent = QLearningAgent.load(args.table)
-    if agent.variant is not config.variant:
-        raise ConfigError(f"table was trained for the {agent.variant.value} variant")
-    return agent
+    return QLearningAgent.load(args.table)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -83,17 +85,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
     setups = standard_setups(base.variant, base=base)
-    factories = default_agent_factories(args.train_steps, args.episode_steps, bins=args.bins)
+    factories = _agent_factories(
+        train_steps=args.train_steps, episode_steps=args.episode_steps, bins=args.bins
+    )
     wanted = [name.strip() for name in args.agents.split(",") if name.strip()]
-    unknown = [name for name in wanted if name not in factories and name != "random"]
+    unknown = [name for name in wanted if name not in factories]
     if unknown:
-        raise ConfigError(f"unknown agents: {', '.join(unknown)} (choose from rba, qtable, random)")
-    picked = {}
-    for name in wanted:
-        if name == "random":
-            picked[name] = lambda config, train_seed: RandomAgent(config.variant, seed=train_seed)
-        else:
-            picked[name] = factories[name]
+        known = ", ".join(factories)
+        raise ConfigError(f"unknown agents: {', '.join(unknown)} (choose from {known})")
+    picked = {name: factories[name] for name in wanted}
     seeds = [args.seed_base + i for i in range(args.seeds)]
     report = run_benchmark(setups, picked, seeds, steps=args.steps)
     if args.out:

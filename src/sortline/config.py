@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -45,12 +46,12 @@ class EnvConfig:
             raise ConfigError(f"episode_length must be positive, got {self.episode_length}")
         for name in ("obs_noise_level", "action_penalty", "abatement", "r_acc", "r_speed"):
             value = getattr(self, name)
-            if value < 0.0:
-                raise ConfigError(f"{name} must be non-negative, got {value}")
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         for name in ("base_noise_range", "correct_mode_noise_range", "incorrect_mode_noise_range"):
             lo, hi = getattr(self, name)
-            if not 0.0 <= lo <= hi:
-                raise ConfigError(f"{name} must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+            if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):
+                raise ConfigError(f"{name} must be finite with 0 <= lo <= hi, got ({lo}, {hi})")
         limits = self.occupancy_limits
         if len(limits) != len(SPEED_INDICES):
             raise ConfigError(f"occupancy_limits needs {len(SPEED_INDICES)} entries, got {len(limits)}")
@@ -84,18 +85,18 @@ _RANGE_FIELDS = {
 }
 
 
-def _parse_range(value: Any, name: str, size: int | None = 2) -> tuple[float, ...]:
+def _parse_range(value: Any, name: str, size: int = 2) -> tuple[float, ...]:
     if isinstance(value, str):
         items = [part for part in value.replace(",", " ").split() if part]
     elif isinstance(value, (list, tuple)):
         items = list(value)
     else:
-        raise ConfigError(f"{name} expects {size or 'several'} numbers, got {value!r}")
+        raise ConfigError(f"{name} expects {size} numbers, got {value!r}")
     try:
         parsed = tuple(float(x) for x in items)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} contains a non-numeric entry: {value!r}") from None
-    if size is not None and len(parsed) != size:
+    if len(parsed) != size:
         raise ConfigError(f"{name} expects {size} numbers, got {len(parsed)}")
     return parsed
 
@@ -128,7 +129,7 @@ def config_from_mapping(mapping: Mapping[str, Any], base: EnvConfig | None = Non
                 updates[name] = float(raw)
         except ConfigError:
             raise
-        except (TypeError, ValueError):
+        except (OverflowError, TypeError, ValueError):
             raise ConfigError(f"bad value for {name!r}: {raw!r}") from None
     return replace(config, **updates).validate()
 

@@ -27,7 +27,6 @@ from .sorting import (
 )
 from .types import (
     EMPTY_MIX,
-    STAGE_CAPACITY,
     Action,
     EnvVariant,
     MaterialMix,
@@ -56,7 +55,6 @@ class EnvState:
     machine: MaterialMix
     storage: StorageTally
     speed_index: int
-    prev_speed_index: int | None
     mode: SortingMode
     accuracy: float
     machine_accuracy: float
@@ -86,6 +84,7 @@ class SortingLineEnv:
         self._generator: InputGenerator | None = None
         self._sorting_stream = None
         self._obs_stream = None
+        self._obs: Observation | None = None
 
     @property
     def state(self) -> EnvState:
@@ -103,13 +102,13 @@ class SortingLineEnv:
         self._generator = make_generator(self.config.input_type, make_stream(root, INPUT_STREAM))
         self._sorting_stream = make_stream(root, SORTING_STREAM)
         self._obs_stream = make_stream(root, OBSERVATION_STREAM)
+        self._obs = None
         self._state = EnvState(
             input=self._generator.draw(),
             belt=EMPTY_MIX,
             machine=EMPTY_MIX,
             storage=StorageTally(),
             speed_index=1,
-            prev_speed_index=None,
             mode=SortingMode.BASIC,
             accuracy=1.0,
             machine_accuracy=1.0,
@@ -120,14 +119,18 @@ class SortingLineEnv:
     def observe(self) -> Observation:
         """Observation of the input stage: the normalized total, perturbed by
         one multiplicative uniform draw, plus the true ratio category in the
-        advanced variant.  Consumes one draw even at zero noise level."""
-        state = self.state
-        level = self.config.obs_noise_level
-        u = self._obs_stream.uniform(-level, level)
-        observed = apply_observation_noise(state.input.total / STAGE_CAPACITY, u)
-        if self.config.variant is EnvVariant.ADVANCED:
-            return Observation(observed, classify_ratio(state.input))
-        return Observation(observed)
+        advanced variant.  Consumes one draw per fresh input, even at zero
+        noise level; repeated calls within a step return the same observation."""
+        if self._obs is None:
+            state = self.state
+            level = self.config.obs_noise_level
+            u = self._obs_stream.uniform(-level, level)
+            observed = apply_observation_noise(occupancy(state.input), u)
+            if self.config.variant is EnvVariant.ADVANCED:
+                self._obs = Observation(observed, classify_ratio(state.input))
+            else:
+                self._obs = Observation(observed)
+        return self._obs
 
     def step(self, action: Action) -> StepResult:
         """Advance the line one step:
@@ -153,10 +156,9 @@ class SortingLineEnv:
         state.machine_accuracy = state.accuracy
         state.belt = state.input
         state.input = self._generator.draw()
+        self._obs = None
 
-        speed_changed = (
-            state.prev_speed_index is not None and action.speed_index != state.prev_speed_index
-        )
+        speed_changed = state.step_count > 0 and action.speed_index != state.speed_index
         state.speed_index = action.speed_index
         if action.mode is not None:
             state.mode = action.mode
@@ -172,7 +174,6 @@ class SortingLineEnv:
             state.accuracy = base_accuracy(state.speed_index, occ, config, self._sorting_stream)
 
         reward = step_reward(state.accuracy, state.speed_index, config, speed_changed)
-        state.prev_speed_index = state.speed_index
 
         state.step_count += 1
         done = state.step_count >= config.episode_length

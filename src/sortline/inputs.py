@@ -58,8 +58,6 @@ def _split(total: float, a_fraction: float) -> MaterialMix:
 class RandomInputGenerator:
     """Uniform total in [5, 95] percent with a uniform A/B split."""
 
-    kind = InputType.RANDOM
-
     def __init__(self, stream: random.Random):
         self._stream = stream
 
@@ -80,8 +78,6 @@ class SeasonalInputGenerator:
     """Piecewise-stationary input: one of nine (level, regime) patterns held
     for 10 to 12 steps, with totals and splits re-drawn inside the pattern's
     ranges every step."""
-
-    kind = InputType.SEASONAL
 
     def __init__(self, stream: random.Random):
         self._stream = stream

@@ -22,9 +22,11 @@ Responses:
     {"type": "bye"}          acknowledges close; the server then drops the
                              connection
 
-Error codes: BAD_REQUEST (malformed line or unknown type), BAD_CONFIG,
-BAD_ACTION, NO_EPISODE (step before any reset), EPISODE_DONE.  Errors leave
-the session usable.
+Error codes: BAD_REQUEST (malformed or non-UTF-8 line, or unknown type),
+BAD_CONFIG (``config`` not an object or null, unknown key, or a value that is
+malformed, non-finite or out of range), BAD_ACTION (includes a ``mode`` that
+is not a mode name), NO_EPISODE (step before any reset), EPISODE_DONE.
+Errors leave the session usable.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Any
 
 from .config import ConfigError, EnvConfig, config_from_mapping
 from .env import EpisodeDoneError, SortingLineEnv
-from .types import MODE_ORDER, Action, EnvVariant, Observation, SortingMode, SPEED_INDICES
+from .types import MODE_ORDER, SPEED_INDICES, Action, EnvVariant, Observation, SortingMode, action_count
 
 PROTOCOL_VERSION = 1
 
@@ -49,7 +51,7 @@ def _spec_payload(config: EnvConfig) -> dict[str, Any]:
         "type": "spec",
         "protocol": PROTOCOL_VERSION,
         "variant": config.variant.value,
-        "action_count": 10 * (3 if advanced else 1),
+        "action_count": action_count(config.variant),
         "speeds": list(SPEED_INDICES),
         "modes": [m.value for m in MODE_ORDER] if advanced else None,
         "observation_fields": ["input_total", "ratio_category"] if advanced else ["input_total"],
@@ -102,14 +104,14 @@ class Session:
         return _error("BAD_REQUEST", f"unknown request type {kind!r}"), False
 
     def _reset(self, request: dict[str, Any]) -> dict[str, Any]:
-        overrides = request.get("config") or {}
-        if not isinstance(overrides, dict):
+        overrides = request.get("config")
+        if overrides is not None and not isinstance(overrides, dict):
             return _error("BAD_CONFIG", "config must be an object")
         seed = request.get("seed")
         if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
             return _error("BAD_CONFIG", "seed must be an integer")
         try:
-            config = config_from_mapping(overrides, base=self.base_config)
+            config = config_from_mapping(overrides or {}, base=self.base_config)
             env = SortingLineEnv(config)
             obs = env.reset(seed=seed)
         except ConfigError as exc:
@@ -156,8 +158,8 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 continue
             try:
                 request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                self.wfile.write(_encode(_error("BAD_REQUEST", f"bad JSON: {exc.msg}")))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                self.wfile.write(_encode(_error("BAD_REQUEST", f"bad JSON: {exc}")))
                 continue
             response, close = session.handle(request)
             self.wfile.write(_encode(response))

@@ -67,8 +67,9 @@ def apply_mode(
 ) -> float:
     """Adjust a pre-noise accuracy for the chosen mode (advanced variant).
 
-    A correct mode adds a bonus of 0.15 (capped at 1) and draws mild noise;
-    an incorrect one subtracts 0.10 (floored at 0) and draws heavy noise.
+    A correct mode adds ``CORRECT_MODE_BONUS`` (capped at 1) and draws mild
+    noise; an incorrect one subtracts ``INCORRECT_MODE_MALUS`` (floored at 0)
+    and draws heavy noise.
     Exactly one draw is consumed either way.
     """
     if chosen is correct:

@@ -30,7 +30,7 @@ class SortingMode(Enum):
     def from_name(cls, name: str) -> "SortingMode":
         try:
             return cls(name.lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: not a string
             raise ValueError(f"unknown sorting mode {name!r}") from None
 
 
@@ -91,14 +91,6 @@ def validate_action(action: Action, variant: EnvVariant) -> None:
 
 def action_count(variant: EnvVariant) -> int:
     return 10 if variant is EnvVariant.BASIC else 30
-
-
-def action_index(action: Action, variant: EnvVariant) -> int:
-    """Dense index of an action; lower speeds come first within a mode slot."""
-    validate_action(action, variant)
-    if variant is EnvVariant.BASIC:
-        return action.speed_index - 1
-    return (action.speed_index - 1) * len(MODE_ORDER) + MODE_INDEX[action.mode]
 
 
 def action_from_index(index: int, variant: EnvVariant) -> Action:

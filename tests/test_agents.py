@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sortline import sorting
 from sortline.agents import (
     DEFAULT_BINS,
     QLearningAgent,
@@ -75,6 +76,18 @@ class TestExpectedReward:
             ZERO_NOISE_ADV, 0.2, Action(8, SortingMode.NEGATIVE), SortingMode.POSITIVE
         )
         assert right > wrong
+
+    def test_follows_the_sorting_model_mode_constants(self, monkeypatch):
+        config = EnvConfig(variant=EnvVariant.ADVANCED)  # noise means 0.025 and 0.125
+        action = Action(7, SortingMode.POSITIVE)  # occupancy limit 0.4
+        monkeypatch.setattr(sorting, "CORRECT_MODE_BONUS", 0.3)
+        monkeypatch.setattr(sorting, "INCORRECT_MODE_MALUS", 0.15)
+        speed_term = 0.5 * (0.7 - 0.1) / 0.9
+        # occupancy 0.5 leaves a pre-noise accuracy of 0.7; 0.3 is within the limit
+        right = expected_immediate_reward(config, 0.5, action, SortingMode.POSITIVE)
+        assert right == pytest.approx(0.5 * ((0.7 + 0.3 - 0.025) - 0.7) / 0.3 + speed_term)
+        wrong = expected_immediate_reward(config, 0.3, action, SortingMode.NEGATIVE)
+        assert wrong == pytest.approx(0.5 * ((1.0 - 0.15 - 0.125) - 0.7) / 0.3 + speed_term)
 
 
 class TestRuleBasedAgent:

@@ -1,5 +1,7 @@
 """Configuration defaults, validation, parsing, and digests."""
 
+import math
+
 import pytest
 
 from sortline.config import (
@@ -50,6 +52,14 @@ def test_default_occupancy_limits_descend_from_one():
         {"occupancy_limits": (1.0,) * 9},
         {"occupancy_limits": (0.1,) * 9 + (1.5,)},
         {"occupancy_limits": (0.1,) * 9 + (0.2,)},
+        {"obs_noise_level": math.inf},
+        {"action_penalty": math.nan},
+        {"abatement": math.inf},
+        {"r_acc": math.nan},
+        {"r_speed": math.inf},
+        {"base_noise_range": (0.1, math.inf)},
+        {"correct_mode_noise_range": (math.inf, math.inf)},
+        {"incorrect_mode_noise_range": (math.nan, 0.2)},
     ],
 )
 def test_validation_rejects(overrides):

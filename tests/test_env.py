@@ -93,6 +93,21 @@ class TestObservationNoise:
             assert clean.state.input == noisy.state.input
             assert clean.state.accuracy == noisy.state.accuracy
 
+    def test_observe_is_idempotent_within_a_step(self):
+        config = EnvConfig(variant=EnvVariant.ADVANCED, obs_noise_level=0.3)
+
+        def run(extra_calls):
+            env = SortingLineEnv(config)
+            trail = [env.reset(seed=1)]
+            for i in range(30):
+                for _ in range(extra_calls):
+                    assert env.observe() == trail[-1]
+                result = env.step(Action(1 + i % 10, SortingMode.POSITIVE))
+                trail.append(result.observation)
+            return trail
+
+        assert run(extra_calls=2) == run(extra_calls=0)
+
 
 class TestStepPipeline:
     def test_first_two_steps_sort_nothing(self):

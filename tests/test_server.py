@@ -47,6 +47,10 @@ class TestSession:
         spec, _ = session.handle({"type": "hello"})
         assert spec["episode_length"] == 7
 
+    def test_null_config_means_no_overrides(self):
+        response, _ = Session(EnvConfig()).handle({"type": "reset", "seed": 42, "config": None})
+        assert response == Session(EnvConfig()).handle({"type": "reset", "seed": 42})[0]
+
     def test_step_matches_a_direct_environment(self):
         session = Session(EnvConfig())
         session.handle({"type": "reset", "seed": 42})
@@ -93,6 +97,7 @@ class TestSession:
             {"speed": 5, "mode": "sideways"},
             "run",
             None,
+            {"speed": 5, "mode": 5},
         ],
     )
     def test_bad_actions(self, action):
@@ -119,6 +124,9 @@ class TestSession:
             {"type": "reset", "config": "fast"},
             {"type": "reset", "seed": "forty-two"},
             {"type": "reset", "seed": True},
+            {"type": "reset", "config": []},
+            {"type": "reset", "config": {"episode_length": float("inf")}},
+            {"type": "reset", "config": {"r_acc": float("nan")}},
         ],
     )
     def test_bad_configs(self, request_payload):
@@ -222,6 +230,12 @@ class TestWireTransport:
         replies = raw_exchange(
             server.port, [b"this is not json", b'{"type": "hello"}']
         )
+        first, second = (json.loads(r) for r in replies)
+        assert first["code"] == "BAD_REQUEST"
+        assert second["type"] == "spec"
+
+    def test_non_utf8_lines_get_a_bad_request(self, server):
+        replies = raw_exchange(server.port, [b"\xff", b'{"type": "hello"}'])
         first, second = (json.loads(r) for r in replies)
         assert first["code"] == "BAD_REQUEST"
         assert second["type"] == "spec"

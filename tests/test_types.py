@@ -10,7 +10,6 @@ from sortline.types import (
     StorageTally,
     action_count,
     action_from_index,
-    action_index,
     all_actions,
     speed_fraction,
     validate_action,
@@ -60,7 +59,6 @@ class TestActionSpace:
         assert len(actions) == action_count(variant)
         assert len(set(actions)) == len(actions)
         for i, action in enumerate(actions):
-            assert action_index(action, variant) == i
             assert action_from_index(i, variant) == action
 
     def test_lower_speeds_come_first(self):
