@@ -1,7 +1,7 @@
 """Baseline decision-makers: a greedy rule-based table and tabular Q-learning.
 
-Both discretize the observed input total into equal-width bins on [0, 1]
-(20 by default) and, in the advanced variant, key on the observed ratio
+Both discretize the observed input total into ``BINS`` (20) equal-width
+bins on [0, 1] and, in the advanced variant, key on the observed ratio
 category as well.
 """
 
@@ -27,14 +27,14 @@ from .types import (
     all_actions,
 )
 
-DEFAULT_BINS = 20
+BINS = 20
 
 
-def bin_index(value: float, bins: int = DEFAULT_BINS) -> int:
+def bin_index(value: float) -> int:
     """Equal-width bin of a value in [0, 1]; the top edge folds into the last bin."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"observation outside [0, 1]: {value}")
-    return min(int(value * bins), bins - 1)
+    return min(int(value * BINS), BINS - 1)
 
 
 class Agent:
@@ -114,24 +114,21 @@ class RuleBasedAgent(Agent):
 
     name = "rba"
 
-    def __init__(self, config: EnvConfig, bins: int = DEFAULT_BINS):
-        if bins < 1:
-            raise ConfigError(f"bins must be positive, got {bins}")
+    def __init__(self, config: EnvConfig):
         self.variant = config.variant
-        self.bins = bins
         categories: tuple[SortingMode | None, ...]
         if config.variant is EnvVariant.ADVANCED:
             categories = tuple(MODE_INDEX)
         else:
             categories = (None,)
         self.table: dict[tuple[int, SortingMode | None], Action] = {}
-        for b in range(bins):
-            center = (b + 0.5) / bins
+        for b in range(BINS):
+            center = (b + 0.5) / BINS
             for category in categories:
                 self.table[(b, category)] = best_action(config, center, category)
 
     def act(self, obs: Observation) -> Action:
-        key = (bin_index(obs.input_total, self.bins), obs.ratio_category)
+        key = (bin_index(obs.input_total), obs.ratio_category)
         try:
             return self.table[key]
         except KeyError:
@@ -141,14 +138,16 @@ class RuleBasedAgent(Agent):
 QTABLE_MAGIC = "sortline-qtable"
 QTABLE_FORMAT_VERSION = 1
 
+LEARNING_RATE = 0.1
 EPSILON_START = 1.0
 EPSILON_FINAL = 0.05
 EPSILON_DECAY_FRACTION = 0.5
 
 
 class QLearningAgent(Agent):
-    """One-step tabular Q-learning over binned observations.
+    """One-step tabular Q-learning over ``BINS`` observation bins.
 
+    Updates step a fraction ``LEARNING_RATE`` (0.1) toward the TD target.
     Epsilon decays linearly from ``EPSILON_START`` (1.0) to ``EPSILON_FINAL``
     (0.05) over the first ``EPSILON_DECAY_FRACTION`` (half) of the planned
     training steps, then stays at ``EPSILON_FINAL``.  With
@@ -158,22 +157,11 @@ class QLearningAgent(Agent):
 
     name = "qtable"
 
-    def __init__(
-        self,
-        variant: EnvVariant,
-        bins: int = DEFAULT_BINS,
-        learning_rate: float = 0.1,
-        discount: float = 0.9,
-        seed: int = 0,
-    ):
-        if bins < 1:
-            raise ConfigError(f"bins must be positive, got {bins}")
+    def __init__(self, variant: EnvVariant, discount: float = 0.9, seed: int = 0):
         self.variant = variant
-        self.bins = bins
-        self.learning_rate = learning_rate
         self.discount = discount
         self._stream = make_stream(seed, AGENT_STREAM)
-        states = bins * (len(MODE_INDEX) if variant is EnvVariant.ADVANCED else 1)
+        states = BINS * (len(MODE_INDEX) if variant is EnvVariant.ADVANCED else 1)
         self.values = np.zeros((states, action_count(variant)))
         self.visits = np.zeros(states, dtype=np.int64)
         self.learning = False
@@ -182,7 +170,7 @@ class QLearningAgent(Agent):
         self._steps_done = 0
 
     def state_index(self, obs: Observation) -> int:
-        b = bin_index(obs.input_total, self.bins)
+        b = bin_index(obs.input_total)
         if self.variant is EnvVariant.BASIC:
             return b
         if obs.ratio_category is None:
@@ -197,11 +185,9 @@ class QLearningAgent(Agent):
         progress = min(self._steps_done / horizon, 1.0)
         return EPSILON_START + (EPSILON_FINAL - EPSILON_START) * progress
 
-    def act(self, obs: Observation, epsilon: float | None = None) -> Action:
+    def act(self, obs: Observation) -> Action:
         state = self.state_index(obs)
-        if epsilon is None:
-            epsilon = self.epsilon() if self.learning else 0.0
-        if epsilon > 0.0 and self._stream.random() < epsilon:
+        if self.learning and self._stream.random() < self.epsilon():
             index = self._stream.randrange(self.values.shape[1])
         else:
             index = int(np.argmax(self.values[state]))
@@ -217,7 +203,7 @@ class QLearningAgent(Agent):
         target = result.reward
         if not result.done:
             target += self.discount * float(np.max(self.values[self.state_index(result.observation)]))
-        self.values[state, action] += self.learning_rate * (target - self.values[state, action])
+        self.values[state, action] += LEARNING_RATE * (target - self.values[state, action])
         self.visits[state] += 1
         self._steps_done += 1
 
@@ -250,14 +236,15 @@ class QLearningAgent(Agent):
         lines = [
             f"{QTABLE_MAGIC} {QTABLE_FORMAT_VERSION}",
             f"variant {self.variant.value}",
-            f"bins {self.bins}",
+            f"bins {BINS}",
             f"actions {self.values.shape[1]}",
         ]
         lines.extend(" ".join(repr(v) for v in row) for row in self.values.tolist())
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
-    def load(cls, path: str | Path, seed: int = 0) -> "QLearningAgent":
+    def load(cls, path: str | Path) -> "QLearningAgent":
+        """Read a table written by ``save``; the loaded agent acts greedily."""
         lines = Path(path).read_text().splitlines()
         try:
             magic, version = lines[0].split()
@@ -269,7 +256,9 @@ class QLearningAgent(Agent):
             actions = int(fields["actions"])
         except (ValueError, KeyError, IndexError):
             raise ValueError(f"{path} is not a recognized table file") from None
-        agent = cls(variant, bins=bins, seed=seed)
+        if bins != BINS:
+            raise ValueError(f"{path}: {bins} bins, expected {BINS}")
+        agent = cls(variant)
         if actions != agent.values.shape[1]:
             raise ValueError(f"{path}: {actions} actions does not match variant {variant.value}")
         rows = [[float(v) for v in line.split()] for line in lines[4:] if line.strip()]

@@ -192,16 +192,15 @@ AgentFactory = Callable[[EnvConfig, int], Agent]
 def default_agent_factories(
     train_steps: int = 100_000,
     episode_steps: int = 250,
-    bins: int = 20,
 ) -> dict[str, AgentFactory]:
     """Factories for the bundled agents; the Q-agent trains on construction."""
 
     def rba(config: EnvConfig, train_seed: int) -> Agent:
-        return RuleBasedAgent(config, bins=bins)
+        return RuleBasedAgent(config)
 
     def qtable(config: EnvConfig, train_seed: int) -> Agent:
         episodes = max(1, round(train_steps / episode_steps))
-        agent = QLearningAgent(config.variant, bins=bins, seed=train_seed)
+        agent = QLearningAgent(config.variant, seed=train_seed)
         return agent.train(config, episodes, episode_steps)
 
     return {"rba": rba, "qtable": qtable}

@@ -49,7 +49,7 @@ def _agent_factories(**options):
 
 def _make_agent(args: argparse.Namespace, config: EnvConfig):
     if args.agent != "qtable":
-        return _agent_factories(bins=args.bins)[args.agent](config, config.seed)
+        return _agent_factories()[args.agent](config, config.seed)
     if not args.table:
         raise ConfigError("--agent qtable needs --table FILE (see the train command)")
     return QLearningAgent.load(args.table)
@@ -72,7 +72,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     episodes = max(1, round(args.train_steps / args.episode_steps))
-    agent = QLearningAgent(config.variant, bins=args.bins, seed=config.seed)
+    agent = QLearningAgent(config.variant, seed=config.seed)
     agent.train(config, episodes, args.episode_steps)
     agent.save(args.out)
     print(
@@ -85,9 +85,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
     setups = standard_setups(base.variant, base=base)
-    factories = _agent_factories(
-        train_steps=args.train_steps, episode_steps=args.episode_steps, bins=args.bins
-    )
+    factories = _agent_factories(train_steps=args.train_steps, episode_steps=args.episode_steps)
     wanted = [name.strip() for name in args.agents.split(",") if name.strip()]
     unknown = [name for name in wanted if name not in factories]
     if unknown:
@@ -136,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(simulate)
     simulate.add_argument("--agent", choices=["rba", "qtable", "random"], default="rba")
     simulate.add_argument("--table", metavar="FILE", help="table file for --agent qtable")
-    simulate.add_argument("--bins", type=int, default=20)
     simulate.add_argument("--out", default="trace.csv", help="trace CSV path")
     simulate.set_defaults(func=cmd_simulate)
 
@@ -145,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(train)
     train.add_argument("--train-steps", type=int, default=100_000)
     train.add_argument("--episode-steps", type=int, default=250)
-    train.add_argument("--bins", type=int, default=20)
     train.add_argument("--out", default="qtable.txt")
     train.set_defaults(func=cmd_train)
 
@@ -158,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     benchmark.add_argument("--steps", type=int, default=50, help="evaluation episode length")
     benchmark.add_argument("--train-steps", type=int, default=100_000)
     benchmark.add_argument("--episode-steps", type=int, default=250)
-    benchmark.add_argument("--bins", type=int, default=20)
     benchmark.add_argument("--agents", default="rba,qtable", help="comma-separated agent names")
     benchmark.add_argument("--out", metavar="FILE", help="also write one JSON record per line")
     benchmark.set_defaults(func=cmd_benchmark)

@@ -48,6 +48,8 @@ class EnvConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+        if not math.isfinite(self.r_acc + self.r_speed):
+            raise ConfigError(f"r_acc + r_speed must be finite, got {self.r_acc} + {self.r_speed}")
         for name in ("base_noise_range", "correct_mode_noise_range", "incorrect_mode_noise_range"):
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):

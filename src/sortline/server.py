@@ -22,11 +22,12 @@ Responses:
     {"type": "bye"}          acknowledges close; the server then drops the
                              connection
 
-Error codes: BAD_REQUEST (malformed or non-UTF-8 line, or unknown type),
-BAD_CONFIG (``config`` not an object or null, unknown key, or a value that is
-malformed, non-finite or out of range), BAD_ACTION (includes a ``mode`` that
-is not a mode name), NO_EPISODE (step before any reset), EPISODE_DONE.
-Errors leave the session usable.
+Error codes: BAD_REQUEST (malformed, non-UTF-8 or too deeply nested line, or
+unknown type), BAD_CONFIG (``config`` not an object or null, unknown key, a
+value that is malformed, non-finite or out of range, or ``r_acc + r_speed``
+not finite), BAD_ACTION (includes a ``mode`` that is not a mode name),
+NO_EPISODE (step before any reset), EPISODE_DONE.  Errors leave the session
+usable.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 continue
             try:
                 request = json.loads(line)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError.
+            except (ValueError, RecursionError) as exc:
                 self.wfile.write(_encode(_error("BAD_REQUEST", f"bad JSON: {exc}")))
                 continue
             response, close = session.handle(request)

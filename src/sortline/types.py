@@ -35,7 +35,7 @@ class SortingMode(Enum):
 
 
 # Fixed ordering used for discretized state/action indexing.
-MODE_ORDER = (SortingMode.BASIC, SortingMode.POSITIVE, SortingMode.NEGATIVE)
+MODE_ORDER = tuple(SortingMode)
 MODE_INDEX = {mode: i for i, mode in enumerate(MODE_ORDER)}
 
 
@@ -90,7 +90,7 @@ def validate_action(action: Action, variant: EnvVariant) -> None:
 
 
 def action_count(variant: EnvVariant) -> int:
-    return 10 if variant is EnvVariant.BASIC else 30
+    return len(SPEED_INDICES) * (len(MODE_ORDER) if variant is EnvVariant.ADVANCED else 1)
 
 
 def action_from_index(index: int, variant: EnvVariant) -> Action:

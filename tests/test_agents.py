@@ -7,7 +7,8 @@ import pytest
 
 from sortline import sorting
 from sortline.agents import (
-    DEFAULT_BINS,
+    BINS,
+    LEARNING_RATE,
     QLearningAgent,
     RandomAgent,
     RuleBasedAgent,
@@ -44,10 +45,6 @@ class TestBinning:
             bin_index(-0.01)
         with pytest.raises(ValueError):
             bin_index(1.01)
-
-    def test_custom_resolution(self):
-        assert bin_index(0.5, bins=4) == 2
-        assert bin_index(0.24, bins=4) == 0
 
 
 class TestExpectedReward:
@@ -93,11 +90,11 @@ class TestExpectedReward:
 class TestRuleBasedAgent:
     def test_table_covers_every_bin(self):
         agent = RuleBasedAgent(EnvConfig())
-        assert set(agent.table) == {(b, None) for b in range(DEFAULT_BINS)}
+        assert set(agent.table) == {(b, None) for b in range(BINS)}
 
     def test_advanced_table_always_plays_the_announced_mode(self):
         agent = RuleBasedAgent(EnvConfig(variant=EnvVariant.ADVANCED))
-        assert len(agent.table) == DEFAULT_BINS * 3
+        assert len(agent.table) == BINS * 3
         for (_, category), action in agent.table.items():
             assert action.mode is category
 
@@ -113,7 +110,7 @@ class TestRuleBasedAgent:
 
     def test_speeds_never_increase_with_load(self):
         agent = RuleBasedAgent(ZERO_NOISE)
-        speeds = [agent.table[(b, None)].speed_index for b in range(DEFAULT_BINS)]
+        speeds = [agent.table[(b, None)].speed_index for b in range(BINS)]
         assert speeds == sorted(speeds, reverse=True)
         assert speeds[0] == 10 and speeds[-1] == 1
 
@@ -140,51 +137,53 @@ class TestQLearningAgent:
 
     def test_greedy_ties_break_toward_the_first_action(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=0)
-        assert agent.act(Observation(0.4), epsilon=0.0) == Action(1)
+        assert agent.act(Observation(0.4)) == Action(1)
 
     def test_greedy_follows_the_table(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=0)
         agent.values[bin_index(0.4), 6] = 2.5
-        assert agent.act(Observation(0.4), epsilon=0.0) == Action(7)
+        assert agent.act(Observation(0.4)) == Action(7)
 
     def test_exploration_hits_every_action(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=5)
-        picks = {agent.act(Observation(0.2), epsilon=1.0) for _ in range(400)}
+        agent.learning = True
+        agent._planned_steps = 10_000  # no notify, so epsilon stays at EPSILON_START
+        picks = {agent.act(Observation(0.2)) for _ in range(400)}
         assert picks == set(all_actions(EnvVariant.BASIC))
 
     def test_advanced_observation_needs_a_category(self):
         agent = QLearningAgent(EnvVariant.ADVANCED)
         with pytest.raises(ValueError):
-            agent.act(Observation(0.5), epsilon=0.0)
+            agent.act(Observation(0.5))
 
     def test_td_update_from_zero(self):
-        agent = QLearningAgent(EnvVariant.BASIC, learning_rate=0.1, discount=0.9, seed=0)
+        agent = QLearningAgent(EnvVariant.BASIC, discount=0.9)
         agent.learning = True
-        agent.act(Observation(0.42), epsilon=0.0)
-        agent.notify(outcome(0.9, reward=1.0))
         state = bin_index(0.42)
-        assert agent.values[state, 0] == pytest.approx(0.1)  # 0.1 * (1 + 0.9 * 0 - 0)
+        agent._pending = (state, 0)
+        agent.notify(outcome(0.9, reward=1.0))
+        assert agent.values[state, 0] == pytest.approx(LEARNING_RATE * 1.0)  # 1 + 0.9 * 0 - 0
         assert agent.visits[state] == 1
 
     def test_td_update_bootstraps_from_the_next_state(self):
-        agent = QLearningAgent(EnvVariant.BASIC, learning_rate=0.5, discount=0.5, seed=0)
+        agent = QLearningAgent(EnvVariant.BASIC, discount=0.5)
         agent.learning = True
         agent.values[bin_index(0.9), 3] = 2.0
-        agent.act(Observation(0.1), epsilon=0.0)
+        agent._pending = (bin_index(0.1), 0)
         agent.notify(outcome(0.9, reward=1.0))
-        assert agent.values[bin_index(0.1), 0] == pytest.approx(0.5 * (1.0 + 0.5 * 2.0))
+        assert agent.values[bin_index(0.1), 0] == pytest.approx(LEARNING_RATE * (1.0 + 0.5 * 2.0))
 
     def test_terminal_steps_do_not_bootstrap(self):
-        agent = QLearningAgent(EnvVariant.BASIC, learning_rate=1.0, discount=0.9, seed=0)
+        agent = QLearningAgent(EnvVariant.BASIC, discount=0.9)
         agent.learning = True
         agent.values[bin_index(0.9), 3] = 50.0
-        agent.act(Observation(0.1), epsilon=0.0)
+        agent._pending = (bin_index(0.1), 0)
         agent.notify(outcome(0.9, reward=0.25, done=True))
-        assert agent.values[bin_index(0.1), 0] == pytest.approx(0.25)
+        assert agent.values[bin_index(0.1), 0] == pytest.approx(LEARNING_RATE * 0.25)
 
     def test_notify_without_learning_is_inert(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=0)
-        agent.act(Observation(0.3), epsilon=0.0)
+        agent.act(Observation(0.3))
         agent.notify(outcome(0.4, reward=1.0))
         assert not agent.values.any()
         assert not agent.visits.any()
@@ -246,6 +245,13 @@ class TestQTableFiles:
         with pytest.raises(ValueError):
             QLearningAgent.load(path)
 
+    def test_other_bin_counts_are_rejected(self, tmp_path):
+        path = tmp_path / "coarse.qt"
+        rows = [" ".join(["0.0"] * 10)] * 10
+        path.write_text("\n".join(["sortline-qtable 1", "variant basic", "bins 10", "actions 10", *rows]) + "\n")
+        with pytest.raises(ValueError, match="bins"):
+            QLearningAgent.load(path)
+
 
 class TestPolicyAgreement:
     def test_short_myopic_training_recovers_the_rule_table(self):
@@ -260,7 +266,7 @@ class TestPolicyAgreement:
         agent = QLearningAgent(EnvVariant.BASIC, discount=0.0, seed=23)
         agent.train(config, episodes=400, steps_per_episode=250)
         mismatches = []
-        for b in range(DEFAULT_BINS):
+        for b in range(BINS):
             if agent.visits[b] < 300:
                 continue
             learned = Action(int(agent.values[b].argmax()) + 1)

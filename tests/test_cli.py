@@ -143,8 +143,9 @@ class TestConfigPlumbing:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_flags_exit_with_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli("simulate", "--bogus")
-        assert excinfo.value.code == 2
+        for flags in (["--bogus"], ["--bins", "20"]):  # the bin count is fixed
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli("simulate", *flags)
+            assert excinfo.value.code == 2
         with pytest.raises(SystemExit):
             run_cli()

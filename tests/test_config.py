@@ -60,6 +60,7 @@ def test_default_occupancy_limits_descend_from_one():
         {"base_noise_range": (0.1, math.inf)},
         {"correct_mode_noise_range": (math.inf, math.inf)},
         {"incorrect_mode_noise_range": (math.nan, 0.2)},
+        {"r_acc": 1.7e308, "r_speed": 1.7e308},
     ],
 )
 def test_validation_rejects(overrides):

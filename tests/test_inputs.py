@@ -55,33 +55,34 @@ class TestSeasonalInputs:
         gen = SeasonalInputGenerator(make_stream(4, INPUT_STREAM))
         for _ in range(3000):
             mix = gen.draw()
-            lo, hi = LEVEL_RANGES[gen.phase.level]
+            (lo, hi), (flo, fhi) = gen.pattern
+            assert (lo, hi) in LEVEL_RANGES and (flo, fhi) in REGIME_A_FRACTION
             assert lo <= mix.total <= hi
-            flo, fhi = REGIME_A_FRACTION[gen.phase.regime]
             assert flo - 1e-12 <= mix.a / mix.total <= fhi + 1e-12
 
     def test_phase_lengths(self):
         gen = SeasonalInputGenerator(make_stream(5, INPUT_STREAM))
-        per_phase = Counter()
-        lengths = {}
+        lengths = []  # (announced length, steps actually held) per phase
         for _ in range(4000):
+            starting = gen.remaining == 0
             gen.draw()
-            per_phase[gen.phases_started] += 1
-            lengths[gen.phases_started] = gen.phase.length
-        complete = [p for p in per_phase if p != gen.phases_started]
+            if starting:
+                lengths.append([gen.remaining + 1, 0])
+            lengths[-1][1] += 1
+        complete = lengths[:-1]
         assert complete, "expected several completed phases"
-        for phase_id in complete:
-            assert lengths[phase_id] in PHASE_LENGTH_CHOICES
-            assert per_phase[phase_id] == lengths[phase_id]
+        for announced, held in complete:
+            assert announced in PHASE_LENGTH_CHOICES
+            assert held == announced
 
     def test_patterns_are_drawn_uniformly(self):
         gen = SeasonalInputGenerator(make_stream(6, INPUT_STREAM))
         counts = Counter()
-        while gen.phases_started < 2000:
+        while sum(counts.values()) < 2000:
+            starting = gen.remaining == 0
             gen.draw()
-            counts[(gen.phase.level, gen.phase.regime)] += 0  # touch phase
-            if gen.phase.remaining == gen.phase.length - 1:
-                counts[(gen.phase.level, gen.phase.regime)] += 1
+            if starting:
+                counts[gen.pattern] += 1
         total = sum(counts.values())
         for pattern in PATTERNS:
             assert abs(counts[pattern] / total - 1.0 / 9.0) < 0.02

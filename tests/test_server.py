@@ -127,6 +127,7 @@ class TestSession:
             {"type": "reset", "config": []},
             {"type": "reset", "config": {"episode_length": float("inf")}},
             {"type": "reset", "config": {"r_acc": float("nan")}},
+            {"type": "reset", "config": {"r_acc": 1.7e308, "r_speed": 1.7e308}},
         ],
     )
     def test_bad_configs(self, request_payload):
@@ -234,8 +235,9 @@ class TestWireTransport:
         assert first["code"] == "BAD_REQUEST"
         assert second["type"] == "spec"
 
-    def test_non_utf8_lines_get_a_bad_request(self, server):
-        replies = raw_exchange(server.port, [b"\xff", b'{"type": "hello"}'])
+    @pytest.mark.parametrize("line", [b"\xff", b"[" * 100_000], ids=["non-utf8", "deep-nesting"])
+    def test_undecodable_lines_get_a_bad_request(self, server, line):
+        replies = raw_exchange(server.port, [line, b'{"type": "hello"}'])
         first, second = (json.loads(r) for r in replies)
         assert first["code"] == "BAD_REQUEST"
         assert second["type"] == "spec"
