@@ -17,7 +17,7 @@ from .env import SortingLineEnv, StepResult
 from .rng import AGENT_STREAM, make_stream
 from .sorting import apply_mode, base_accuracy, deterministic_accuracy, step_reward
 from .types import (
-    MODE_INDEX,
+    MODES,
     Action,
     EnvVariant,
     Observation,
@@ -116,15 +116,10 @@ class RuleBasedAgent(Agent):
 
     def __init__(self, config: EnvConfig):
         self.variant = config.variant
-        categories: tuple[SortingMode | None, ...]
-        if config.variant is EnvVariant.ADVANCED:
-            categories = tuple(MODE_INDEX)
-        else:
-            categories = (None,)
         self.table: dict[tuple[int, SortingMode | None], Action] = {}
         for b in range(BINS):
             center = (b + 0.5) / BINS
-            for category in categories:
+            for category in MODES[config.variant]:
                 self.table[(b, category)] = best_action(config, center, category)
 
     def act(self, obs: Observation) -> Action:
@@ -161,7 +156,8 @@ class QLearningAgent(Agent):
         self.variant = variant
         self.discount = discount
         self._stream = make_stream(seed, AGENT_STREAM)
-        states = BINS * (len(MODE_INDEX) if variant is EnvVariant.ADVANCED else 1)
+        self._category_index = {category: i for i, category in enumerate(MODES[variant])}
+        states = BINS * len(self._category_index)
         self.values = np.zeros((states, action_count(variant)))
         self.visits = np.zeros(states, dtype=np.int64)
         self.learning = False
@@ -171,11 +167,11 @@ class QLearningAgent(Agent):
 
     def state_index(self, obs: Observation) -> int:
         b = bin_index(obs.input_total)
-        if self.variant is EnvVariant.BASIC:
-            return b
-        if obs.ratio_category is None:
-            raise ValueError("advanced agent needs a ratio category in the observation")
-        return b * len(MODE_INDEX) + MODE_INDEX[obs.ratio_category]
+        try:
+            category = self._category_index[obs.ratio_category]
+        except KeyError:
+            raise ValueError(f"observation does not match agent variant: {obs}") from None
+        return b * len(self._category_index) + category
 
     def epsilon(self) -> float:
         """Current exploration rate under the linear decay schedule."""
@@ -265,4 +261,6 @@ class QLearningAgent(Agent):
         if len(rows) != agent.values.shape[0] or any(len(r) != actions for r in rows):
             raise ValueError(f"{path}: table shape does not match header")
         agent.values = np.array(rows)
+        if not np.isfinite(agent.values).all():
+            raise ValueError(f"{path}: table holds a non-finite value")
         return agent

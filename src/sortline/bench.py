@@ -154,11 +154,14 @@ def load_trace(path: str | Path) -> EpisodeTrace:
         parts = line.split(",")
         if len(parts) != len(TRACE_COLUMNS):
             raise ValueError(f"{path}: malformed row {line!r}")
+        mode = CODE_MODE.get(float(parts[2]))
+        if mode is None:
+            raise ValueError(f"{path}: unknown mode code in row {line!r}")
         rows.append(
             TraceRow(
                 step=int(parts[0]),
                 speed=float(parts[1]),
-                mode=CODE_MODE[float(parts[2])],
+                mode=mode,
                 occupancy=float(parts[3]),
                 accuracy=float(parts[4]),
                 reward=float(parts[5]),
@@ -193,13 +196,16 @@ def default_agent_factories(
     train_steps: int = 100_000,
     episode_steps: int = 250,
 ) -> dict[str, AgentFactory]:
-    """Factories for the bundled agents; the Q-agent trains on construction."""
+    """Factories for the bundled agents.  The Q-agent trains on construction in
+    ``episode_steps``-step episodes, as many as come nearest ``train_steps``."""
+    if train_steps < 1 or episode_steps < 1:
+        raise ConfigError(f"training steps must be positive, got {train_steps} and {episode_steps}")
+    episodes = max(1, round(train_steps / episode_steps))
 
     def rba(config: EnvConfig, train_seed: int) -> Agent:
         return RuleBasedAgent(config)
 
     def qtable(config: EnvConfig, train_seed: int) -> Agent:
-        episodes = max(1, round(train_steps / episode_steps))
         agent = QLearningAgent(config.variant, seed=train_seed)
         return agent.train(config, episodes, episode_steps)
 

@@ -11,32 +11,29 @@ from .bench import default_agent_factories, export_trace, run_benchmark, run_epi
 from .config import ConfigError, EnvConfig, config_from_mapping, load_config_file
 from .server import serve
 from .sorting import deterministic_accuracy, step_reward
-from .types import SPEED_INDICES, speed_fraction
+from .types import SPEED_INDICES, EnvVariant, InputType, speed_fraction
+
+# Flags that override one config field each: their argparse options, with the
+# field as ``dest``.  A command registers only the flags that change its output.
+CONFIG_FLAGS = {
+    "--env": dict(dest="variant", choices=[v.value for v in EnvVariant], help="environment variant"),
+    "--seed": dict(dest="seed", type=int, help="root seed"),
+    "--input": dict(dest="input_type", choices=[t.value for t in InputType], help="input generator"),
+    "--noise": dict(dest="obs_noise_level", type=float, metavar="LEVEL", help="observation noise level"),
+    "--penalty": dict(dest="action_penalty", type=float, metavar="PENALTY", help="speed-change penalty"),
+    "--steps": dict(dest="episode_length", type=int, metavar="STEPS", help="episode length"),
+}
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--env", choices=["basic", "advanced"], help="environment variant")
+def _add_config_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
     parser.add_argument("--config", metavar="FILE", help="config file with key = value lines")
-    parser.add_argument("--seed", type=int, help="root seed")
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", choices=["random", "seasonal"], help="input generator")
-    parser.add_argument("--noise", type=float, metavar="LEVEL", help="observation noise level")
-    parser.add_argument("--penalty", type=float, help="penalty for changing speed")
-    parser.add_argument("--steps", type=int, help="episode length")
+    for flag in flags:
+        parser.add_argument(flag, **CONFIG_FLAGS[flag])
 
 
 def _config_from_args(args: argparse.Namespace) -> EnvConfig:
     config = load_config_file(args.config) if args.config else EnvConfig()
-    overrides = {
-        "variant": args.env,
-        "seed": args.seed,
-        "input_type": getattr(args, "input", None),
-        "obs_noise_level": getattr(args, "noise", None),
-        "action_penalty": getattr(args, "penalty", None),
-        "episode_length": getattr(args, "steps", None),
-    }
+    overrides = {o["dest"]: getattr(args, o["dest"], None) for o in CONFIG_FLAGS.values()}
     return config_from_mapping({k: v for k, v in overrides.items() if v is not None}, base=config)
 
 
@@ -71,13 +68,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    episodes = max(1, round(args.train_steps / args.episode_steps))
-    agent = QLearningAgent(config.variant, seed=config.seed)
-    agent.train(config, episodes, args.episode_steps)
+    train = default_agent_factories(args.train_steps, args.episode_steps)["qtable"]
+    agent = train(config, config.seed)
     agent.save(args.out)
+    total = int(sum(agent.visits))  # every training step visits one state
     print(
-        f"trained {episodes} episodes x {args.episode_steps} steps "
-        f"({episodes * args.episode_steps} total) -> {args.out}"
+        f"trained {total // args.episode_steps} episodes x {args.episode_steps} steps "
+        f"({total} total) -> {args.out}"
     )
     return 0
 
@@ -130,16 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     simulate = commands.add_parser("simulate", help="run one episode and export its trace")
-    _add_config_flags(simulate)
-    _add_run_flags(simulate)
-    simulate.add_argument("--agent", choices=["rba", "qtable", "random"], default="rba")
+    _add_config_flags(simulate, *CONFIG_FLAGS)
+    simulate.add_argument("--agent", choices=list(_agent_factories()), default="rba")
     simulate.add_argument("--table", metavar="FILE", help="table file for --agent qtable")
     simulate.add_argument("--out", default="trace.csv", help="trace CSV path")
     simulate.set_defaults(func=cmd_simulate)
 
     train = commands.add_parser("train", help="train a Q-table and save it")
-    _add_config_flags(train)
-    _add_run_flags(train)
+    # Training sets its own episode length.
+    _add_config_flags(train, "--env", "--seed", "--input", "--noise", "--penalty")
     train.add_argument("--train-steps", type=int, default=100_000)
     train.add_argument("--episode-steps", type=int, default=250)
     train.add_argument("--out", default="qtable.txt")
@@ -148,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     benchmark = commands.add_parser(
         "benchmark", help="train and evaluate agents over the four standard setups"
     )
-    _add_config_flags(benchmark)
+    # The setups fix input, noise and penalty; the seeds and lengths are flags below.
+    _add_config_flags(benchmark, "--env")
     benchmark.add_argument("--seeds", type=int, default=10, help="number of evaluation seeds")
     benchmark.add_argument("--seed-base", type=int, default=1000, help="first evaluation seed")
     benchmark.add_argument("--steps", type=int, default=50, help="evaluation episode length")
@@ -159,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     benchmark.set_defaults(func=cmd_benchmark)
 
     server = commands.add_parser("serve", help="expose environments over TCP")
-    _add_config_flags(server)
-    _add_run_flags(server)
+    _add_config_flags(server, *CONFIG_FLAGS)
     server.add_argument("--host", default="127.0.0.1")
     server.add_argument("--port", type=int, default=5555)
     server.set_defaults(func=cmd_serve)

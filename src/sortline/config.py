@@ -39,7 +39,10 @@ class EnvConfig:
     episode_length: int = 50
     seed: int = 0
 
-    def validate(self) -> "EnvConfig":
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
         if self.episode_length < 1:
@@ -61,7 +64,6 @@ class EnvConfig:
             raise ConfigError(f"occupancy_limits must lie in [0, 1], got {limits}")
         if any(limits[i] < limits[i + 1] for i in range(len(limits) - 1)):
             raise ConfigError("occupancy_limits must not increase with speed")
-        return self
 
     def limit_for_speed(self, speed_index: int) -> float:
         return self.occupancy_limits[speed_index - 1]
@@ -80,14 +82,17 @@ class EnvConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-_RANGE_FIELDS = {
-    "base_noise_range",
-    "correct_mode_noise_range",
-    "incorrect_mode_noise_range",
-}
+_DEFAULTS = {field.name: field.default for field in fields(EnvConfig)}
 
 
-def _parse_range(value: Any, name: str, size: int = 2) -> tuple[float, ...]:
+def _parse_scalar(raw: Any, kind: type) -> Any:
+    """``kind(raw)``, refusing booleans and the non-integral numbers int() would truncate."""
+    if isinstance(raw, bool) or (kind is int and isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError
+    return kind(raw)
+
+
+def _parse_range(value: Any, name: str, size: int) -> tuple[float, ...]:
     if isinstance(value, str):
         items = [part for part in value.replace(",", " ").split() if part]
     elif isinstance(value, (list, tuple)):
@@ -95,7 +100,7 @@ def _parse_range(value: Any, name: str, size: int = 2) -> tuple[float, ...]:
     else:
         raise ConfigError(f"{name} expects {size} numbers, got {value!r}")
     try:
-        parsed = tuple(float(x) for x in items)
+        parsed = tuple(_parse_scalar(x, float) for x in items)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} contains a non-numeric entry: {value!r}") from None
     if len(parsed) != size:
@@ -107,33 +112,28 @@ def config_from_mapping(mapping: Mapping[str, Any], base: EnvConfig | None = Non
     """Build a config from field-name keys, starting from ``base`` (or defaults).
 
     Accepts both typed values (e.g. from a decoded wire message) and the string
-    forms used in config files.  Unknown keys are rejected.
+    forms used in config files.  Each value is parsed by the kind of its
+    field's default: an enum member or name, a tuple of that many numbers, or
+    one int or float.  Unknown keys are rejected.
     """
-    config = base if base is not None else EnvConfig()
-    known = {field.name for field in fields(config)}
     updates: dict[str, Any] = {}
     for key, raw in mapping.items():
         name = key.strip()
-        if name not in known:
+        if name not in _DEFAULTS:
             raise ConfigError(f"unknown config key {name!r}")
+        kind = type(_DEFAULTS[name])
         try:
-            if name == "variant":
-                updates[name] = raw if isinstance(raw, EnvVariant) else EnvVariant(str(raw).lower())
-            elif name == "input_type":
-                updates[name] = raw if isinstance(raw, InputType) else InputType(str(raw).lower())
-            elif name in _RANGE_FIELDS:
-                updates[name] = _parse_range(raw, name)
-            elif name == "occupancy_limits":
-                updates[name] = _parse_range(raw, name, size=len(SPEED_INDICES))
-            elif name in ("episode_length", "seed"):
-                updates[name] = int(raw)
+            if issubclass(kind, Enum):
+                updates[name] = raw if isinstance(raw, kind) else kind(str(raw).lower())
+            elif kind is tuple:
+                updates[name] = _parse_range(raw, name, len(_DEFAULTS[name]))
             else:
-                updates[name] = float(raw)
+                updates[name] = _parse_scalar(raw, kind)
         except ConfigError:
             raise
         except (OverflowError, TypeError, ValueError):
             raise ConfigError(f"bad value for {name!r}: {raw!r}") from None
-    return replace(config, **updates).validate()
+    return replace(base if base is not None else EnvConfig(), **updates)
 
 
 def load_config_file(path: str | Path, base: EnvConfig | None = None) -> EnvConfig:

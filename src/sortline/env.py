@@ -31,7 +31,6 @@ from .types import (
     EnvVariant,
     MaterialMix,
     Observation,
-    SortingMode,
     StorageTally,
     speed_fraction,
     validate_action,
@@ -55,7 +54,6 @@ class EnvState:
     machine: MaterialMix
     storage: StorageTally
     speed_index: int
-    mode: SortingMode
     accuracy: float
     machine_accuracy: float
     step_count: int
@@ -79,7 +77,7 @@ class SortingLineEnv:
     """Deterministic, seedable simulator of the two-material sorting line."""
 
     def __init__(self, config: EnvConfig):
-        self.config = config.validate()
+        self.config = config
         self._state: EnvState | None = None
         self._generator: InputGenerator | None = None
         self._sorting_stream = None
@@ -109,7 +107,6 @@ class SortingLineEnv:
             machine=EMPTY_MIX,
             storage=StorageTally(),
             speed_index=1,
-            mode=SortingMode.BASIC,
             accuracy=1.0,
             machine_accuracy=1.0,
             step_count=0,
@@ -160,15 +157,13 @@ class SortingLineEnv:
 
         speed_changed = state.step_count > 0 and action.speed_index != state.speed_index
         state.speed_index = action.speed_index
-        if action.mode is not None:
-            state.mode = action.mode
 
         occ = occupancy(state.belt)
         if config.variant is EnvVariant.ADVANCED:
             correct = classify_ratio(state.belt)
-            mode_correct: bool | None = state.mode is correct
+            mode_correct: bool | None = action.mode is correct
             pre_noise = deterministic_accuracy(state.speed_index, occ, config)
-            state.accuracy = apply_mode(pre_noise, state.mode, correct, config, self._sorting_stream)
+            state.accuracy = apply_mode(pre_noise, action.mode, correct, config, self._sorting_stream)
         else:
             mode_correct = None
             state.accuracy = base_accuracy(state.speed_index, occ, config, self._sorting_stream)

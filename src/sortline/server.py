@@ -176,7 +176,7 @@ class EnvServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int], config: EnvConfig):
-        self.base_config = config.validate()
+        self.base_config = config
         super().__init__(address, _SessionHandler)
 
     @property

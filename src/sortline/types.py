@@ -36,7 +36,6 @@ class SortingMode(Enum):
 
 # Fixed ordering used for discretized state/action indexing.
 MODE_ORDER = tuple(SortingMode)
-MODE_INDEX = {mode: i for i, mode in enumerate(MODE_ORDER)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,30 +79,35 @@ class Action:
     mode: SortingMode | None = None
 
 
+# What an action's mode and an observation's ratio category may be, per variant.
+MODES: dict[EnvVariant, tuple[SortingMode | None, ...]] = {
+    EnvVariant.BASIC: (None,),
+    EnvVariant.ADVANCED: MODE_ORDER,
+}
+# Every action of a variant, speed-major; an action's index is its position.
+ACTIONS = {v: tuple(Action(s, m) for s in SPEED_INDICES for m in MODES[v]) for v in EnvVariant}
+
+
 def validate_action(action: Action, variant: EnvVariant) -> None:
     if action.speed_index not in SPEED_INDICES:
         raise ValueError(f"speed index out of range: {action.speed_index}")
-    if variant is EnvVariant.BASIC and action.mode is not None:
-        raise ValueError("basic variant takes no sorting mode")
-    if variant is EnvVariant.ADVANCED and action.mode is None:
-        raise ValueError("advanced variant requires a sorting mode")
+    if action.mode not in MODES[variant]:
+        names = "|".join(m.value if m else "none" for m in MODES[variant])
+        raise ValueError(f"{variant.value} variant takes mode {names}, got {action.mode!r}")
 
 
 def action_count(variant: EnvVariant) -> int:
-    return len(SPEED_INDICES) * (len(MODE_ORDER) if variant is EnvVariant.ADVANCED else 1)
+    return len(ACTIONS[variant])
 
 
 def action_from_index(index: int, variant: EnvVariant) -> Action:
-    if not 0 <= index < action_count(variant):
+    if not 0 <= index < len(ACTIONS[variant]):
         raise ValueError(f"action index out of range: {index}")
-    if variant is EnvVariant.BASIC:
-        return Action(index + 1)
-    speed, mode = divmod(index, len(MODE_ORDER))
-    return Action(speed + 1, MODE_ORDER[mode])
+    return ACTIONS[variant][index]
 
 
 def all_actions(variant: EnvVariant) -> tuple[Action, ...]:
-    return tuple(action_from_index(i, variant) for i in range(action_count(variant)))
+    return ACTIONS[variant]
 
 
 @dataclass(frozen=True, slots=True)

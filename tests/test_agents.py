@@ -156,6 +156,11 @@ class TestQLearningAgent:
         with pytest.raises(ValueError):
             agent.act(Observation(0.5))
 
+    def test_basic_observation_carries_no_category(self):
+        agent = QLearningAgent(EnvVariant.BASIC)
+        with pytest.raises(ValueError):
+            agent.act(Observation(0.5, SortingMode.POSITIVE))
+
     def test_td_update_from_zero(self):
         agent = QLearningAgent(EnvVariant.BASIC, discount=0.9)
         agent.learning = True
@@ -250,6 +255,15 @@ class TestQTableFiles:
         rows = [" ".join(["0.0"] * 10)] * 10
         path.write_text("\n".join(["sortline-qtable 1", "variant basic", "bins 10", "actions 10", *rows]) + "\n")
         with pytest.raises(ValueError, match="bins"):
+            QLearningAgent.load(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_values_are_rejected(self, tmp_path, bad):
+        path = tmp_path / "poisoned.qt"
+        rows = [" ".join(["1.0"] * 10)] * 20
+        rows[8] = " ".join([bad] + ["1.0"] * 9)
+        path.write_text("\n".join(["sortline-qtable 1", "variant basic", "bins 20", "actions 10", *rows]) + "\n")
+        with pytest.raises(ValueError, match="non-finite"):
             QLearningAgent.load(path)
 
 

@@ -133,6 +133,10 @@ class TestTraceFiles:
         path.write_text(",".join(TRACE_COLUMNS) + "\n1,0.5,0.0\n")
         with pytest.raises(ValueError):
             load_trace(path)
+        for code in ("0.700000", "nan"):  # not a mode code
+            path.write_text(",".join(TRACE_COLUMNS) + f"\n1,0.5,{code},0.1,1.0,0.5,0.5,1.0\n")
+            with pytest.raises(ValueError, match="mode code"):
+                load_trace(path)
 
     def test_reference_trace_replays_byte_for_byte(self, tmp_path):
         config = EnvConfig()

@@ -105,6 +105,14 @@ class TestBenchmark:
         assert "unknown agents: flying" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+@pytest.mark.parametrize("flag", ["--train-steps", "--episode-steps"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_non_positive_training_steps_fail_cleanly(tmp_path, capsys, command, flag, value):
+    assert run_cli(command, flag, value, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("error: training steps must be positive")
+
+
 class TestSurface:
     def test_grid_shape_and_within_limit_cells(self, capsys):
         assert run_cli("surface") == 0
@@ -143,9 +151,17 @@ class TestConfigPlumbing:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_flags_exit_with_usage_error(self):
-        for flags in (["--bogus"], ["--bins", "20"]):  # the bin count is fixed
+        for command, flags in (
+            ("simulate", ["--bogus"]),
+            ("simulate", ["--bins", "20"]),  # the bin count is fixed
+            # Flags that would change no output are not offered.
+            ("benchmark", ["--seed", "3"]),
+            ("surface", ["--seed", "3"]),
+            ("surface", ["--env", "advanced"]),
+            ("train", ["--steps", "10"]),
+        ):
             with pytest.raises(SystemExit) as excinfo:
-                run_cli("simulate", *flags)
+                run_cli(command, *flags)
             assert excinfo.value.code == 2
         with pytest.raises(SystemExit):
             run_cli()

@@ -105,9 +105,12 @@ class TestFromMapping:
         assert config.base_noise_range == (0.1, 0.2)
 
     def test_typed_values_pass_through(self):
-        config = config_from_mapping({"threshold": 0.8, "base_noise_range": [0.0, 0.0]})
+        config = config_from_mapping(
+            {"threshold": 0.8, "base_noise_range": [0.0, 0.0], "episode_length": 250.0}
+        )
         assert config.threshold == 0.8
         assert config.base_noise_range == (0.0, 0.0)
+        assert config.episode_length == 250 and type(config.episode_length) is int
 
     def test_base_is_preserved(self):
         base = config_from_mapping({"threshold": 0.9})
@@ -120,14 +123,26 @@ class TestFromMapping:
             config_from_mapping({"velocity": 1})
 
     def test_bad_value(self):
-        with pytest.raises(ConfigError):
-            config_from_mapping({"threshold": "fast"})
-        with pytest.raises(ConfigError):
-            config_from_mapping({"base_noise_range": "0.1"})
+        for mapping in (
+            {"threshold": "fast"},
+            {"base_noise_range": "0.1"},
+            {"episode_length": 1.5},
+            {"episode_length": "1.5"},
+            {"seed": True},
+            {"r_acc": True},
+            {"base_noise_range": [False, 0.2]},
+        ):
+            with pytest.raises(ConfigError):
+                config_from_mapping(mapping)
 
     def test_result_is_validated(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"threshold": 2.0})
+
+
+def test_construction_validates():
+    with pytest.raises(ConfigError):
+        EnvConfig(threshold=2.0)
 
 
 class TestConfigFile:

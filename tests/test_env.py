@@ -200,6 +200,9 @@ class TestStepPipeline:
         advanced.reset(seed=1)
         with pytest.raises(ValueError):
             advanced.step(Action(5))
+        with pytest.raises(ValueError):
+            advanced.step(Action(3, "positive"))  # a name, not a mode
+        assert advanced.state.step_count == 0
 
 
 class TestEpisodeBoundary:

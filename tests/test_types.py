@@ -76,6 +76,8 @@ class TestActionSpace:
             validate_action(Action(5, SortingMode.BASIC), EnvVariant.BASIC)
         with pytest.raises(ValueError):
             validate_action(Action(5), EnvVariant.ADVANCED)
+        with pytest.raises(ValueError, match=r"basic\|positive\|negative"):
+            validate_action(Action(3, "positive"), EnvVariant.ADVANCED)  # a name, not a mode
 
     def test_index_range_checks(self):
         with pytest.raises(ValueError):
