@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -14,8 +14,6 @@ from .config import ConfigError, EnvConfig
 from .env import SortingLineEnv
 from .rng import stream_seed
 from .types import EnvVariant, InputType, SortingMode, speed_fraction
-
-TRACE_COLUMNS = ("step", "speed", "mode", "occupancy", "accuracy", "reward", "cum_reward", "purity")
 
 # Numeric mode coding used in trace files, chosen to sit on a 0..1 plot axis.
 MODE_CODE = {SortingMode.BASIC: 0.0, SortingMode.POSITIVE: 0.5, SortingMode.NEGATIVE: 1.0}
@@ -32,6 +30,10 @@ class TraceRow:
     reward: float
     cum_reward: float
     purity: float
+
+
+# Trace CSV columns: the TraceRow fields, in order.
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
 @dataclass(slots=True)
@@ -119,28 +121,14 @@ def run_episode(
     return trace, summarize(trace)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
-
-
 def export_trace(trace: EpisodeTrace, path: str | Path) -> None:
     """Write a trace as CSV: one header line, then one row per step with all
     floats at six decimals and the mode numerically coded (0 / 0.5 / 1)."""
     lines = [",".join(TRACE_COLUMNS)]
     for r in trace.rows:
         lines.append(
-            ",".join(
-                (
-                    str(r.step),
-                    _fmt(r.speed),
-                    _fmt(MODE_CODE[r.mode]),
-                    _fmt(r.occupancy),
-                    _fmt(r.accuracy),
-                    _fmt(r.reward),
-                    _fmt(r.cum_reward),
-                    _fmt(r.purity),
-                )
-            )
+            f"{r.step},{r.speed:.6f},{MODE_CODE[r.mode]:.6f},{r.occupancy:.6f},{r.accuracy:.6f},"
+            f"{r.reward:.6f},{r.cum_reward:.6f},{r.purity:.6f}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -159,14 +147,8 @@ def load_trace(path: str | Path) -> EpisodeTrace:
             raise ValueError(f"{path}: unknown mode code in row {line!r}")
         rows.append(
             TraceRow(
-                step=int(parts[0]),
-                speed=float(parts[1]),
-                mode=mode,
-                occupancy=float(parts[3]),
-                accuracy=float(parts[4]),
-                reward=float(parts[5]),
-                cum_reward=float(parts[6]),
-                purity=float(parts[7]),
+                int(parts[0]), float(parts[1]), mode, float(parts[3]),
+                float(parts[4]), float(parts[5]), float(parts[6]), float(parts[7]),
             )
         )
     return EpisodeTrace(rows)

@@ -69,14 +69,21 @@ class EnvConfig:
         return self.occupancy_limits[speed_index - 1]
 
     def digest(self) -> str:
-        """Short stable hash of every field, for tagging traces and reports."""
+        """Short stable hash of every field, for tagging traces and reports.
+
+        A number is normalised to the type of its field's default where that
+        is exact, as ``config_from_mapping`` parses it, so equal configs
+        (``r_acc=1`` and ``r_acc=1.0``) share a digest."""
         parts = []
         for field in fields(self):
             value = getattr(self, field.name)
-            if isinstance(value, Enum):
+            kind = type(_DEFAULTS[field.name])
+            if issubclass(kind, Enum):
                 value = value.value
-            elif isinstance(value, tuple):
+            elif kind is tuple:
                 value = ",".join(repr(float(x)) for x in value)
+            elif value == kind(value):
+                value = kind(value)
             parts.append(f"{field.name}={value!r}")
         blob = ";".join(parts).encode("ascii")
         return hashlib.sha256(blob).hexdigest()[:12]

@@ -90,10 +90,6 @@ class SortingLineEnv:
             raise RuntimeError("reset() must be called first")
         return self._state
 
-    @property
-    def variant(self) -> EnvVariant:
-        return self.config.variant
-
     def reset(self, seed: int | None = None) -> Observation:
         """Start a fresh episode; ``seed`` overrides the configured root seed."""
         root = self.config.seed if seed is None else seed

@@ -11,7 +11,8 @@ Requests:
     {"type": "close"}
 
 ``seed`` and ``config`` are optional on reset; config keys mirror the
-EnvConfig fields.  ``mode`` is required exactly when the variant is advanced.
+EnvConfig fields, and ``seed`` is one more config override that wins over
+``config.seed``.  ``mode`` is required exactly when the variant is advanced.
 
 Responses:
     {"type": "spec", ...}    for hello: variant, action space, observation
@@ -22,12 +23,13 @@ Responses:
     {"type": "bye"}          acknowledges close; the server then drops the
                              connection
 
-Error codes: BAD_REQUEST (malformed, non-UTF-8 or too deeply nested line, or
-unknown type), BAD_CONFIG (``config`` not an object or null, unknown key, a
-value that is malformed, non-finite or out of range, or ``r_acc + r_speed``
-not finite), BAD_ACTION (includes a ``mode`` that is not a mode name),
-NO_EPISODE (step before any reset), EPISODE_DONE.  Errors leave the session
-usable.
+Error codes: BAD_REQUEST (malformed, non-UTF-8 or too deeply nested line, a
+line longer than 64 KiB, or unknown type), BAD_CONFIG (``config`` not an
+object or null, unknown key, a value that is malformed, non-finite or out of
+range, an integer field such as ``seed`` given a non-integral number, or
+``r_acc + r_speed`` not finite), BAD_ACTION (includes a ``mode`` that is not
+a mode name), NO_EPISODE (step before any reset), EPISODE_DONE.  Errors leave
+the session usable.
 """
 
 from __future__ import annotations
@@ -41,21 +43,24 @@ from typing import Any
 
 from .config import ConfigError, EnvConfig, config_from_mapping
 from .env import EpisodeDoneError, SortingLineEnv
-from .types import MODE_ORDER, SPEED_INDICES, Action, EnvVariant, Observation, SortingMode, action_count
+from .types import MODES, SPEED_INDICES, Action, Observation, SortingMode, action_count
 
 PROTOCOL_VERSION = 1
+# Longest request line read, newline included; a longer one gets BAD_REQUEST.
+MAX_LINE_BYTES = 64 * 1024
 
 
 def _spec_payload(config: EnvConfig) -> dict[str, Any]:
-    advanced = config.variant is EnvVariant.ADVANCED
+    # A variant whose actions carry a mode also shows the ratio category.
+    modes = [m.value for m in MODES[config.variant] if m is not None]
     return {
         "type": "spec",
         "protocol": PROTOCOL_VERSION,
         "variant": config.variant.value,
         "action_count": action_count(config.variant),
         "speeds": list(SPEED_INDICES),
-        "modes": [m.value for m in MODE_ORDER] if advanced else None,
-        "observation_fields": ["input_total", "ratio_category"] if advanced else ["input_total"],
+        "modes": modes or None,
+        "observation_fields": ["input_total", "ratio_category"] if modes else ["input_total"],
         "episode_length": config.episode_length,
     }
 
@@ -108,13 +113,16 @@ class Session:
         overrides = request.get("config")
         if overrides is not None and not isinstance(overrides, dict):
             return _error("BAD_CONFIG", "config must be an object")
-        seed = request.get("seed")
-        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-            return _error("BAD_CONFIG", "seed must be an integer")
+        overrides = dict(overrides or {})
+        if request.get("seed") is not None:
+            # config_from_mapping applies keys in order: the top-level seed goes
+            # last, so it wins over config.seed.
+            overrides.pop("seed", None)
+            overrides["seed"] = request["seed"]
         try:
-            config = config_from_mapping(overrides or {}, base=self.base_config)
+            config = config_from_mapping(overrides, base=self.base_config)
             env = SortingLineEnv(config)
-            obs = env.reset(seed=seed)
+            obs = env.reset()
         except ConfigError as exc:
             return _error("BAD_CONFIG", str(exc))
         self.config = config
@@ -153,7 +161,12 @@ def _encode(response: dict[str, Any]) -> bytes:
 class _SessionHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         session = Session(self.server.base_config)
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE_BYTES):
+            if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                while raw and not raw.endswith(b"\n"):  # discard the rest of the line
+                    raw = self.rfile.readline(MAX_LINE_BYTES)
+                self.wfile.write(_encode(_error("BAD_REQUEST", f"line longer than {MAX_LINE_BYTES} bytes")))
+                continue
             line = raw.strip()
             if not line:
                 continue
@@ -197,7 +210,8 @@ def serve(config: EnvConfig, host: str = "127.0.0.1", port: int = 5555) -> None:
 
 
 class EnvClient:
-    """Small blocking client, used by the tests and handy for scripting."""
+    """Small blocking client, used by the tests and handy for scripting.
+    ``step`` takes an ``Action``."""
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
@@ -222,13 +236,10 @@ class EnvClient:
             payload["config"] = config
         return self.request(payload)
 
-    def step(self, action: Action | dict[str, Any]) -> dict[str, Any]:
-        if isinstance(action, Action):
-            encoded: dict[str, Any] = {"speed": action.speed_index}
-            if action.mode is not None:
-                encoded["mode"] = action.mode.value
-        else:
-            encoded = action
+    def step(self, action: Action) -> dict[str, Any]:
+        encoded: dict[str, Any] = {"speed": action.speed_index}
+        if action.mode is not None:
+            encoded["mode"] = action.mode.value
         return self.request({"type": "step", "action": encoded})
 
     def close(self) -> None:

@@ -24,8 +24,10 @@ def _clamp01(x: float) -> float:
 
 
 def occupancy(mix: MaterialMix) -> float:
-    """Fraction of stage capacity in use."""
-    return mix.total / STAGE_CAPACITY
+    """Fraction of stage capacity in use, capped at 1: a full stage may carry
+    the float dust ``MaterialMix`` tolerates past capacity."""
+    occ = mix.total / STAGE_CAPACITY
+    return 1.0 if occ > 1.0 else occ
 
 
 def deterministic_accuracy(speed_index: int, occ: float, config: EnvConfig) -> float:

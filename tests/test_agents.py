@@ -16,7 +16,7 @@ from sortline.agents import (
     bin_index,
     expected_immediate_reward,
 )
-from sortline.config import EnvConfig
+from sortline.config import ConfigError, EnvConfig
 from sortline.env import StepResult
 from sortline.types import Action, EnvVariant, Observation, SortingMode, all_actions
 
@@ -218,6 +218,11 @@ class TestQLearningAgent:
         assert np.array_equal(first.visits, second.visits)
         assert first.learning is False
 
+    def test_training_needs_a_config_of_its_variant(self):
+        agent = QLearningAgent(EnvVariant.BASIC, seed=0)
+        with pytest.raises(ConfigError):
+            agent.train(EnvConfig(variant=EnvVariant.ADVANCED), episodes=1, steps_per_episode=5)
+
     def test_training_visits_realistic_occupancies(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=17)
         agent.train(EnvConfig(), episodes=20, steps_per_episode=50)
@@ -255,6 +260,13 @@ class TestQTableFiles:
         rows = [" ".join(["0.0"] * 10)] * 10
         path.write_text("\n".join(["sortline-qtable 1", "variant basic", "bins 10", "actions 10", *rows]) + "\n")
         with pytest.raises(ValueError, match="bins"):
+            QLearningAgent.load(path)
+
+    def test_action_count_must_match_the_variant(self, tmp_path):
+        path = tmp_path / "mislabelled.qt"
+        rows = [" ".join(["0.0"] * 10)] * 20
+        path.write_text("\n".join(["sortline-qtable 1", "variant advanced", "bins 20", "actions 10", *rows]) + "\n")
+        with pytest.raises(ValueError, match="actions"):
             QLearningAgent.load(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

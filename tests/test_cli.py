@@ -1,11 +1,19 @@
-"""Command-line entry points, exercised in-process through main()."""
+"""Command-line entry points, exercised in-process through main(), except
+``serve``, which runs until signalled and so runs as a subprocess."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sortline
 from sortline.bench import TRACE_COLUMNS
 from sortline.cli import main
+from sortline.server import EnvClient
 
 
 def run_cli(*argv):
@@ -165,3 +173,20 @@ class TestConfigPlumbing:
             assert excinfo.value.code == 2
         with pytest.raises(SystemExit):
             run_cli()
+
+
+class TestServe:
+    def test_sigterm_shuts_the_server_down(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(sortline.__file__).parents[1]), PYTHONUNBUFFERED="1")
+        command = [sys.executable, "-m", "sortline.cli", "serve", "--port", "0"]
+        with subprocess.Popen(command, stdout=subprocess.PIPE, env=env) as proc:
+            try:
+                line = proc.stdout.readline().decode()
+                assert line.startswith("serving basic environment on 127.0.0.1:")
+                with EnvClient("127.0.0.1", int(line.rsplit(":", 1)[1]), timeout=10) as client:
+                    assert client.hello()["type"] == "spec"
+                    proc.send_signal(signal.SIGTERM)
+                    assert proc.wait(timeout=10) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()

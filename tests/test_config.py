@@ -73,6 +73,7 @@ def test_validation_rejects(overrides):
 class TestDigest:
     def test_equal_configs_share_a_digest(self):
         assert EnvConfig().digest() == EnvConfig().digest()
+        assert EnvConfig(r_acc=1).digest() == EnvConfig(r_acc=1.0).digest()
 
     def test_any_field_changes_it(self):
         base = EnvConfig().digest()
@@ -131,6 +132,7 @@ class TestFromMapping:
             {"seed": True},
             {"r_acc": True},
             {"base_noise_range": [False, 0.2]},
+            {"base_noise_range": 5},
         ):
             with pytest.raises(ConfigError):
                 config_from_mapping(mapping)

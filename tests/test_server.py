@@ -9,7 +9,7 @@ import pytest
 from sortline.agents import RuleBasedAgent
 from sortline.bench import run_episode
 from sortline.config import EnvConfig
-from sortline.server import EnvClient, EnvServer, Session
+from sortline.server import MAX_LINE_BYTES, EnvClient, EnvServer, Session
 from sortline.types import Action, EnvVariant, Observation, SortingMode
 
 
@@ -46,6 +46,22 @@ class TestSession:
         session.handle({"type": "reset", "seed": 1, "config": {"episode_length": 7}})
         spec, _ = session.handle({"type": "hello"})
         assert spec["episode_length"] == 7
+
+    @pytest.mark.parametrize(
+        "request_payload",
+        [
+            {"type": "reset", "seed": 250},
+            {"type": "reset", "seed": 250.0},
+            {"type": "reset", "seed": "250"},
+            {"type": "reset", "seed": 250, "config": {"seed": 7}},
+        ],
+    )
+    def test_top_level_seed_is_a_config_override(self, request_payload):
+        def replies(request):
+            session = Session(EnvConfig())
+            return [session.handle(request)[0], session.handle({"type": "step", "action": {"speed": 3}})[0]]
+
+        assert replies(request_payload) == replies({"type": "reset", "config": {"seed": 250}})
 
     def test_null_config_means_no_overrides(self):
         response, _ = Session(EnvConfig()).handle({"type": "reset", "seed": 42, "config": None})
@@ -131,6 +147,7 @@ class TestSession:
             {"type": "reset", "config": {"episode_length": 1.5}},
             {"type": "reset", "config": {"seed": True}},
             {"type": "reset", "config": {"action_penalty": False}},
+            {"type": "reset", "seed": 1.5},
         ],
     )
     def test_bad_configs(self, request_payload):
@@ -238,7 +255,11 @@ class TestWireTransport:
         assert first["code"] == "BAD_REQUEST"
         assert second["type"] == "spec"
 
-    @pytest.mark.parametrize("line", [b"\xff", b"[" * 100_000], ids=["non-utf8", "deep-nesting"])
+    @pytest.mark.parametrize(
+        "line",
+        [b"\xff", b"[" * 100_000, b'{"type": ' + b" " * MAX_LINE_BYTES + b'"hello"}', b"[" * 10_000],
+        ids=["non-utf8", "deep-nesting", "over-long", "deep-nesting-under-the-bound"],
+    )
     def test_undecodable_lines_get_a_bad_request(self, server, line):
         replies = raw_exchange(server.port, [line, b'{"type": "hello"}'])
         first, second = (json.loads(r) for r in replies)
