@@ -161,7 +161,9 @@ class QLearningAgent(Agent):
         self.values = np.zeros((states, action_count(variant)))
         self.visits = np.zeros(states, dtype=np.int64)
         self.learning = False
+        self._actions = all_actions(variant)
         self._pending: tuple[int, int] | None = None
+        self._next: tuple[object, int] = (object(), 0)  # (observation, state index) notify encoded last
         self._planned_steps = 0
         self._steps_done = 0
 
@@ -182,14 +184,14 @@ class QLearningAgent(Agent):
         return EPSILON_START + (EPSILON_FINAL - EPSILON_START) * progress
 
     def act(self, obs: Observation) -> Action:
-        state = self.state_index(obs)
+        state = self._next[1] if obs is self._next[0] else self.state_index(obs)
         if self.learning and self._stream.random() < self.epsilon():
             index = self._stream.randrange(self.values.shape[1])
         else:
-            index = int(np.argmax(self.values[state]))
+            index = int(self.values[state].argmax())
         if self.learning:
             self._pending = (state, index)
-        return action_from_index(index, self.variant)
+        return self._actions[index]
 
     def notify(self, result: StepResult) -> None:
         if not self.learning or self._pending is None:
@@ -198,8 +200,11 @@ class QLearningAgent(Agent):
         self._pending = None
         target = result.reward
         if not result.done:
-            target += self.discount * float(np.max(self.values[self.state_index(result.observation)]))
-        self.values[state, action] += LEARNING_RATE * (target - self.values[state, action])
+            next_state = self.state_index(result.observation)
+            self._next = (result.observation, next_state)
+            target += self.discount * float(self.values[next_state].max())
+        q = self.values[state, action]
+        self.values[state, action] = q + LEARNING_RATE * (target - q)
         self.visits[state] += 1
         self._steps_done += 1
 

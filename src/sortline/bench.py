@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -13,15 +13,14 @@ from .agents import Agent, QLearningAgent, RuleBasedAgent
 from .config import ConfigError, EnvConfig
 from .env import SortingLineEnv
 from .rng import stream_seed
-from .types import EnvVariant, InputType, SortingMode, speed_fraction
+from .types import EnvVariant, InputType, SortingMode
 
 # Numeric mode coding used in trace files, chosen to sit on a 0..1 plot axis.
 MODE_CODE = {SortingMode.BASIC: 0.0, SortingMode.POSITIVE: 0.5, SortingMode.NEGATIVE: 1.0}
 CODE_MODE = {code: mode for mode, code in MODE_CODE.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     step: int
     speed: float
     mode: SortingMode
@@ -33,7 +32,7 @@ class TraceRow:
 
 
 # Trace CSV columns: the TraceRow fields, in order.
-TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+TRACE_COLUMNS = TraceRow._fields
 
 
 @dataclass(slots=True)
@@ -99,18 +98,11 @@ def run_episode(
         result = env.step(action)
         agent.notify(result)
         cum_reward += result.reward
-        rows.append(
-            TraceRow(
-                step=step,
-                speed=speed_fraction(action.speed_index),
-                mode=action.mode or SortingMode.BASIC,
-                occupancy=result.info["occupancy"],
-                accuracy=result.info["accuracy"],
-                reward=result.reward,
-                cum_reward=cum_reward,
-                purity=result.info["purity"],
-            )
-        )
+        info = result.info
+        rows.append(TraceRow(
+            step, info["speed"], action.mode or SortingMode.BASIC, info["occupancy"], info["accuracy"],
+            result.reward, cum_reward, info["purity"],
+        ))
         obs = result.observation
     trace = EpisodeTrace(
         rows,

@@ -45,6 +45,10 @@ class EnvConfig:
     def validate(self) -> None:
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
+        for name in ("episode_length", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.episode_length < 1:
             raise ConfigError(f"episode_length must be positive, got {self.episode_length}")
         for name in ("obs_noise_level", "action_penalty", "abatement", "r_acc", "r_speed"):

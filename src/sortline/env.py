@@ -10,7 +10,7 @@ accuracy the agent bought for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .config import EnvConfig
 from .inputs import InputGenerator, make_generator
@@ -59,8 +59,7 @@ class EnvState:
     step_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class StepResult:
+class StepResult(NamedTuple):
     observation: Observation
     reward: float
     done: bool
@@ -115,7 +114,7 @@ class SortingLineEnv:
         advanced variant.  Consumes one draw per fresh input, even at zero
         noise level; repeated calls within a step return the same observation."""
         if self._obs is None:
-            state = self.state
+            state = self._state or self.state  # the property raises before reset()
             level = self.config.obs_noise_level
             u = self._obs_stream.uniform(-level, level)
             observed = apply_observation_noise(occupancy(state.input), u)
@@ -135,11 +134,12 @@ class SortingLineEnv:
         5. reward from that accuracy and speed, minus any change penalty
         6. observe the fresh input
         """
-        state = self.state
+        state = self._state or self.state  # the property raises before reset()
         config = self.config
         if state.step_count >= config.episode_length:
             raise EpisodeDoneError("episode is finished; call reset()")
         validate_action(action, config.variant)
+        speed, mode = action.speed_index, action.mode
 
         if not state.machine.is_empty:
             _, delta = sort_transfer(state.machine, state.machine_accuracy)
@@ -147,32 +147,33 @@ class SortingLineEnv:
 
         state.machine = state.belt
         state.machine_accuracy = state.accuracy
-        state.belt = state.input
+        state.belt = belt = state.input
         state.input = self._generator.draw()
         self._obs = None
 
-        speed_changed = state.step_count > 0 and action.speed_index != state.speed_index
-        state.speed_index = action.speed_index
+        speed_changed = state.step_count > 0 and speed != state.speed_index
+        state.speed_index = speed
 
-        occ = occupancy(state.belt)
-        if config.variant is EnvVariant.ADVANCED:
-            correct = classify_ratio(state.belt)
-            mode_correct: bool | None = action.mode is correct
-            pre_noise = deterministic_accuracy(state.speed_index, occ, config)
-            state.accuracy = apply_mode(pre_noise, action.mode, correct, config, self._sorting_stream)
-        else:
+        # A valid action carries a mode exactly in the advanced variant.
+        occ = occupancy(belt)
+        if mode is None:
             mode_correct = None
-            state.accuracy = base_accuracy(state.speed_index, occ, config, self._sorting_stream)
+            accuracy = base_accuracy(speed, occ, config, self._sorting_stream)
+        else:
+            correct = classify_ratio(belt)
+            mode_correct = mode is correct
+            pre_noise = deterministic_accuracy(speed, occ, config)
+            accuracy = apply_mode(pre_noise, mode, correct, config, self._sorting_stream)
+        state.accuracy = accuracy
 
-        reward = step_reward(state.accuracy, state.speed_index, config, speed_changed)
+        reward = step_reward(accuracy, speed, config, speed_changed)
 
-        state.step_count += 1
-        done = state.step_count >= config.episode_length
+        state.step_count = step_count = state.step_count + 1
         info = {
-            "accuracy": state.accuracy,
+            "accuracy": accuracy,
             "occupancy": occ,
-            "speed": speed_fraction(state.speed_index),
+            "speed": speed_fraction(speed),
             "purity": purity(state.storage),
             "mode_correct": mode_correct,
         }
-        return StepResult(self.observe(), reward, done, info)
+        return StepResult(self.observe(), reward, step_count >= config.episode_length, info)

@@ -28,8 +28,9 @@ line longer than 64 KiB, or unknown type), BAD_CONFIG (``config`` not an
 object or null, unknown key, a value that is malformed, non-finite or out of
 range, an integer field such as ``seed`` given a non-integral number, or
 ``r_acc + r_speed`` not finite), BAD_ACTION (includes a ``mode`` that is not
-a mode name), NO_EPISODE (step before any reset), EPISODE_DONE.  Errors leave
-the session usable.
+a mode name), NO_EPISODE (step before any reset), EPISODE_DONE, INTERNAL (a
+server fault or a non-finite response; the traceback goes to stderr).  Errors
+leave the session usable.
 """
 
 from __future__ import annotations
@@ -155,7 +156,8 @@ class Session:
 
 
 def _encode(response: dict[str, Any]) -> bytes:
-    return (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
+    """One response line of strict JSON: a NaN or infinity raises ValueError."""
+    return (json.dumps(response, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
@@ -176,8 +178,13 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             except (ValueError, RecursionError) as exc:
                 self.wfile.write(_encode(_error("BAD_REQUEST", f"bad JSON: {exc}")))
                 continue
-            response, close = session.handle(request)
-            self.wfile.write(_encode(response))
+            try:
+                response, close = session.handle(request)
+                reply = _encode(response)
+            except Exception:  # a fault of the server, not of the request
+                self.server.handle_error(self.request, self.client_address)  # prints the traceback
+                reply, close = _encode(_error("INTERNAL", "the server failed on this request")), False
+            self.wfile.write(reply)
             if close:
                 break
 

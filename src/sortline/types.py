@@ -4,19 +4,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 STAGE_CAPACITY = 100.0
 SPEED_INDICES = tuple(range(1, 11))
 
 
+# Members are singletons, so they hash by identity in C, not by Enum's Python-level name hash.
 class EnvVariant(Enum):
     BASIC = "basic"
     ADVANCED = "advanced"
+
+    __hash__ = object.__hash__
 
 
 class InputType(Enum):
     RANDOM = "random"
     SEASONAL = "seasonal"
+
+    __hash__ = object.__hash__
 
 
 class SortingMode(Enum):
@@ -25,6 +31,8 @@ class SortingMode(Enum):
     BASIC = "basic"
     POSITIVE = "positive"
     NEGATIVE = "negative"
+
+    __hash__ = object.__hash__
 
     @classmethod
     def from_name(cls, name: str) -> "SortingMode":
@@ -110,8 +118,7 @@ def all_actions(variant: EnvVariant) -> tuple[Action, ...]:
     return ACTIONS[variant]
 
 
-@dataclass(frozen=True, slots=True)
-class Observation:
+class Observation(NamedTuple):
     """What the agent sees: the (possibly noisy) input-stage load as a fraction
     of capacity and, in the advanced variant, the true input ratio category."""
 

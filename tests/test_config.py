@@ -61,6 +61,12 @@ def test_default_occupancy_limits_descend_from_one():
         {"correct_mode_noise_range": (math.inf, math.inf)},
         {"incorrect_mode_noise_range": (math.nan, 0.2)},
         {"r_acc": 1.7e308, "r_speed": 1.7e308},
+        {"episode_length": 2.5},
+        {"episode_length": math.inf},
+        {"episode_length": True},
+        {"episode_length": "50"},
+        {"seed": 1.5},
+        {"seed": True},
     ],
 )
 def test_validation_rejects(overrides):

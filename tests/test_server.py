@@ -1,6 +1,7 @@
 """Wire protocol: session state machine, TCP transport, client equivalence."""
 
 import json
+import math
 import socket
 import threading
 
@@ -9,6 +10,7 @@ import pytest
 from sortline.agents import RuleBasedAgent
 from sortline.bench import run_episode
 from sortline.config import EnvConfig
+from sortline.env import SortingLineEnv, StepResult
 from sortline.server import MAX_LINE_BYTES, EnvClient, EnvServer, Session
 from sortline.types import Action, EnvVariant, Observation, SortingMode
 
@@ -265,6 +267,23 @@ class TestWireTransport:
         first, second = (json.loads(r) for r in replies)
         assert first["code"] == "BAD_REQUEST"
         assert second["type"] == "spec"
+
+    @pytest.mark.parametrize("fault", ["raises", "nan-reward"])
+    def test_server_faults_get_an_internal_error(self, server, monkeypatch, fault):
+        def faulty_step(env, action):
+            if fault == "raises":
+                raise RuntimeError("injected fault")
+            return StepResult(env.observe(), math.nan, False, {})
+
+        monkeypatch.setattr(SortingLineEnv, "step", faulty_step)
+        replies = raw_exchange(
+            server.port,
+            [b'{"type": "reset", "seed": 1}', b'{"type": "step", "action": {"speed": 3}}', b'{"type": "hello"}'],
+        )
+        reset, step, hello = (json.loads(r) for r in replies)
+        assert reset["type"] == "state"
+        assert step["type"] == "error" and step["code"] == "INTERNAL"
+        assert hello["type"] == "spec"
 
     def test_close_ends_the_connection(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
