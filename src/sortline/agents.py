@@ -142,7 +142,8 @@ EPSILON_DECAY_FRACTION = 0.5
 class QLearningAgent(Agent):
     """One-step tabular Q-learning over ``BINS`` observation bins.
 
-    Updates step a fraction ``LEARNING_RATE`` (0.1) toward the TD target.
+    Updates step a fraction ``LEARNING_RATE`` (0.1) toward the TD target,
+    which discounts the next state's best value by ``discount`` in [0, 1].
     Epsilon decays linearly from ``EPSILON_START`` (1.0) to ``EPSILON_FINAL``
     (0.05) over the first ``EPSILON_DECAY_FRACTION`` (half) of the planned
     training steps, then stays at ``EPSILON_FINAL``.  With
@@ -153,6 +154,8 @@ class QLearningAgent(Agent):
     name = "qtable"
 
     def __init__(self, variant: EnvVariant, discount: float = 0.9, seed: int = 0):
+        if not 0.0 <= discount <= 1.0:  # NaN fails too: training keeps the table NaN-free
+            raise ValueError(f"discount must lie in [0, 1], got {discount}")
         self.variant = variant
         self.discount = discount
         self._stream = make_stream(seed, AGENT_STREAM)
@@ -202,10 +205,13 @@ class QLearningAgent(Agent):
         if not result.done:
             next_state = self.state_index(result.observation)
             self._next = (result.observation, next_state)
-            target += self.discount * float(self.values[next_state].max())
-        q = self.values[state, action]
+            # max() of the row as a list skips numpy's Python-level reduction
+            # wrapper; the maximum is exact, and tables hold no NaN.
+            target += self.discount * max(self.values[next_state].tolist())
+        # Read as Python numbers (item), so the updates skip numpy scalars.
+        q = self.values.item(state, action)
         self.values[state, action] = q + LEARNING_RATE * (target - q)
-        self.visits[state] += 1
+        self.visits[state] = self.visits.item(state) + 1
         self._steps_done += 1
 
     def train(self, config: EnvConfig, episodes: int, steps_per_episode: int) -> "QLearningAgent":

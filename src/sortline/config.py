@@ -76,8 +76,10 @@ class EnvConfig:
         """Short stable hash of every field, for tagging traces and reports.
 
         A number is normalised to the type of its field's default where that
-        is exact, as ``config_from_mapping`` parses it, so equal configs
-        (``r_acc=1`` and ``r_acc=1.0``) share a digest."""
+        is exact, as ``config_from_mapping`` parses it, and ``-0.0`` to
+        ``0.0``, so equal configs (``r_acc=1`` and ``r_acc=1.0``,
+        ``obs_noise_level=-0.0`` and ``0.0``) share a digest.  Adding ``0``
+        does the latter and leaves every other number as it is."""
         parts = []
         for field in fields(self):
             value = getattr(self, field.name)
@@ -85,9 +87,9 @@ class EnvConfig:
             if issubclass(kind, Enum):
                 value = value.value
             elif kind is tuple:
-                value = ",".join(repr(float(x)) for x in value)
+                value = ",".join(repr(float(x) + 0) for x in value)
             elif value == kind(value):
-                value = kind(value)
+                value = kind(value) + 0
             parts.append(f"{field.name}={value!r}")
         blob = ";".join(parts).encode("ascii")
         return hashlib.sha256(blob).hexdigest()[:12]

@@ -29,11 +29,6 @@ PATTERNS = tuple((total, share) for total in LEVEL_RANGES for share in REGIME_A_
 RANDOM_TOTAL_RANGE = (5.0, 95.0)
 
 
-def _split(total: float, a_fraction: float) -> MaterialMix:
-    a = total * a_fraction
-    return MaterialMix(a, total - a)
-
-
 class RandomInputGenerator:
     """Uniform total in [5, 95] percent with a uniform A/B split."""
 
@@ -42,7 +37,8 @@ class RandomInputGenerator:
 
     def draw(self) -> MaterialMix:
         total = self._stream.uniform(*RANDOM_TOTAL_RANGE)
-        return _split(total, self._stream.uniform(0.0, 1.0))
+        a = total * self._stream.random()  # uniform(0.0, 1.0) is exactly random()
+        return MaterialMix(a, total - a)
 
 
 class SeasonalInputGenerator:
@@ -63,7 +59,8 @@ class SeasonalInputGenerator:
         self.remaining -= 1
         total_range, share_range = self.pattern
         total = self._stream.uniform(*total_range)
-        return _split(total, self._stream.uniform(*share_range))
+        a = total * self._stream.uniform(*share_range)
+        return MaterialMix(a, total - a)
 
 
 InputGenerator = RandomInputGenerator | SeasonalInputGenerator

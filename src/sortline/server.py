@@ -80,11 +80,9 @@ def _error(code: str, message: str) -> dict[str, Any]:
 def _action_from_payload(payload: Any) -> Action:
     if not isinstance(payload, dict) or "speed" not in payload:
         raise ValueError("action must be an object with a 'speed' key")
-    speed = payload["speed"]
-    if not isinstance(speed, int) or isinstance(speed, bool):
-        raise ValueError(f"speed must be an integer, got {speed!r}")
     mode = payload.get("mode")
-    return Action(speed, SortingMode.from_name(mode) if mode is not None else None)
+    # validate_action, in env.step, refuses a speed that is not an int in range.
+    return Action(payload["speed"], SortingMode.from_name(mode) if mode is not None else None)
 
 
 class Session:

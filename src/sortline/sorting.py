@@ -93,14 +93,10 @@ def sort_transfer(machine: MaterialMix, alpha: float) -> tuple[MaterialMix, Stor
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"accuracy out of range: {alpha}")
     miss = 1.0 - alpha
-    delta = StorageTally(
-        a_true=alpha * machine.a,
-        a_false=miss * machine.b,
-        b_true=alpha * machine.b,
-        b_false=miss * machine.a,
-    )
-    sorted_mix = MaterialMix(delta.a_true + delta.a_false, delta.b_true + delta.b_false)
-    return sorted_mix, delta
+    a, b = machine
+    a_true, a_false = alpha * a, miss * b
+    b_true, b_false = alpha * b, miss * a
+    return MaterialMix(a_true + a_false, b_true + b_false), StorageTally(a_true, a_false, b_true, b_false)
 
 
 def purity(tally: StorageTally) -> float:

@@ -46,21 +46,37 @@ class SortingMode(Enum):
 MODE_ORDER = tuple(SortingMode)
 
 
-@dataclass(frozen=True, slots=True)
-class MaterialMix:
-    """Quantities of materials A and B at one stage, in percent of stage capacity."""
+# Tiny slack absorbs float dust from sorting arithmetic on full stages.
+_CAPACITY_WITH_SLACK = STAGE_CAPACITY + 1e-6
 
+
+class _Mix(NamedTuple):
     a: float
     b: float
 
-    # Tiny slack absorbs float dust from sorting arithmetic on full stages.
-    _TOL = 1e-6
 
-    def __post_init__(self) -> None:
-        if self.a < 0.0 or self.b < 0.0:
-            raise ValueError(f"negative material quantity: a={self.a}, b={self.b}")
-        if self.a + self.b > STAGE_CAPACITY + self._TOL:
-            raise ValueError(f"stage over capacity: a={self.a}, b={self.b}")
+class MaterialMix(_Mix):
+    """Quantities of materials A and B at one stage, in percent of stage capacity.
+
+    An immutable named tuple, so it also equals the plain tuple ``(a, b)``.
+    Building one checks that both quantities are non-negative numbers (NaN is
+    refused) and that together they fit the stage.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float) -> "MaterialMix":
+        # Negated, so that NaN, which compares false, fails.
+        if not (a >= 0.0 and b >= 0.0):
+            raise ValueError(f"negative or NaN material quantity: a={a}, b={b}")
+        if a + b > _CAPACITY_WITH_SLACK:
+            raise ValueError(f"stage over capacity: a={a}, b={b}")
+        return tuple.__new__(cls, (a, b))
+
+    @classmethod
+    def _make(cls, iterable) -> "MaterialMix":
+        # namedtuple's _make, and _replace through it, would skip the checks.
+        return cls(*iterable)
 
     @property
     def total(self) -> float:
@@ -97,8 +113,12 @@ ACTIONS = {v: tuple(Action(s, m) for s in SPEED_INDICES for m in MODES[v]) for v
 
 
 def validate_action(action: Action, variant: EnvVariant) -> None:
-    if action.speed_index not in SPEED_INDICES:
-        raise ValueError(f"speed index out of range: {action.speed_index}")
+    """Raise ``ValueError`` unless the speed index is an ``int`` in 1..10 (a
+    ``bool``, ``5.0`` or a numpy integer is refused) and the mode is one the
+    variant takes."""
+    speed = action.speed_index
+    if type(speed) is not int or speed not in SPEED_INDICES:
+        raise ValueError(f"speed index must be an int in 1..10, got {speed!r}")
     if action.mode not in MODES[variant]:
         names = "|".join(m.value if m else "none" for m in MODES[variant])
         raise ValueError(f"{variant.value} variant takes mode {names}, got {action.mode!r}")

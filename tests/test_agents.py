@@ -223,6 +223,11 @@ class TestQLearningAgent:
         with pytest.raises(ConfigError):
             agent.train(EnvConfig(variant=EnvVariant.ADVANCED), episodes=1, steps_per_episode=5)
 
+    @pytest.mark.parametrize("discount", [math.nan, math.inf, -0.1, 1.5])
+    def test_discount_must_lie_in_the_unit_interval(self, discount):
+        with pytest.raises(ValueError):
+            QLearningAgent(EnvVariant.BASIC, discount=discount)
+
     def test_training_visits_realistic_occupancies(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=17)
         agent.train(EnvConfig(), episodes=20, steps_per_episode=50)

@@ -80,6 +80,8 @@ class TestDigest:
     def test_equal_configs_share_a_digest(self):
         assert EnvConfig().digest() == EnvConfig().digest()
         assert EnvConfig(r_acc=1).digest() == EnvConfig(r_acc=1.0).digest()
+        assert EnvConfig(obs_noise_level=-0.0).digest() == EnvConfig().digest()
+        assert EnvConfig(correct_mode_noise_range=(-0.0, 0.05)).digest() == EnvConfig().digest()
 
     def test_any_field_changes_it(self):
         base = EnvConfig().digest()

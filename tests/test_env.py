@@ -203,6 +203,20 @@ class TestStepPipeline:
         with pytest.raises(ValueError):
             advanced.step(Action(3, "positive"))  # a name, not a mode
         assert advanced.state.step_count == 0
+        # A refused step leaves the line as it was: no shift, draw or sort.
+        for line, mode in ((env, None), (advanced, SortingMode.BASIC)):
+            for _ in range(3):
+                line.step(Action(4, mode))
+            before = repr(line.state)
+            for speed in (5.0, True, "5"):
+                with pytest.raises(ValueError):
+                    line.step(Action(speed, mode))
+                assert repr(line.state) == before
+            fresh = SortingLineEnv(line.config)
+            fresh.reset(seed=1)
+            for _ in range(3):
+                fresh.step(Action(4, mode))
+            assert line.step(Action(5, mode)) == fresh.step(Action(5, mode))
 
 
 class TestEpisodeBoundary:

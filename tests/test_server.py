@@ -116,6 +116,7 @@ class TestSession:
             "run",
             None,
             {"speed": 5, "mode": 5},
+            {"speed": 5.0},
         ],
     )
     def test_bad_actions(self, action):

@@ -1,5 +1,8 @@
 """Domain type invariants and the action-space encoding."""
 
+import math
+
+import numpy as np
 import pytest
 
 from sortline.types import (
@@ -34,6 +37,21 @@ class TestMaterialMix:
         with pytest.raises(ValueError):
             MaterialMix(60.0, 41.0)
         MaterialMix(60.0, 40.0)  # exactly full is fine
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_rejects_nan(self, a, b):
+        with pytest.raises(ValueError):
+            MaterialMix(a, b)
+
+    def test_is_a_validated_immutable_named_tuple(self):
+        mix = MaterialMix(30.0, 20.0)
+        assert mix == (30.0, 20.0)
+        assert repr(mix) == "MaterialMix(a=30.0, b=20.0)"
+        with pytest.raises(AttributeError):
+            mix.a = 1.0
+        with pytest.raises(ValueError):
+            mix._replace(b=-1.0)
+        assert mix._replace(b=70.0) == MaterialMix(30.0, 70.0)
 
 
 def test_speed_fraction_grid():
@@ -78,6 +96,9 @@ class TestActionSpace:
             validate_action(Action(5), EnvVariant.ADVANCED)
         with pytest.raises(ValueError, match=r"basic\|positive\|negative"):
             validate_action(Action(3, "positive"), EnvVariant.ADVANCED)  # a name, not a mode
+        for speed in (5.0, True, np.int64(5), "5", None):  # the speed index must be an int, not a bool
+            with pytest.raises(ValueError):
+                validate_action(Action(speed), EnvVariant.BASIC)
 
     def test_index_range_checks(self):
         with pytest.raises(ValueError):
