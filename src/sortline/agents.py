@@ -34,7 +34,8 @@ def bin_index(value: float) -> int:
     """Equal-width bin of a value in [0, 1]; the top edge folds into the last bin."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"observation outside [0, 1]: {value}")
-    return min(int(value * BINS), BINS - 1)
+    b = int(value * BINS)
+    return b if b < BINS else BINS - 1
 
 
 class Agent:
@@ -183,17 +184,18 @@ class QLearningAgent(Agent):
         horizon = self._planned_steps * EPSILON_DECAY_FRACTION
         if horizon <= 0:
             return EPSILON_FINAL
-        progress = min(self._steps_done / horizon, 1.0)
-        return EPSILON_START + (EPSILON_FINAL - EPSILON_START) * progress
+        progress = self._steps_done / horizon
+        return EPSILON_START + (EPSILON_FINAL - EPSILON_START) * (progress if progress < 1.0 else 1.0)
 
     def act(self, obs: Observation) -> Action:
         state = self._next[1] if obs is self._next[0] else self.state_index(obs)
-        if self.learning and self._stream.random() < self.epsilon():
-            index = self._stream.randrange(self.values.shape[1])
+        if not self.learning:
+            return self._actions[self.values[state].argmax()]
+        if self._stream.random() < self.epsilon():
+            index = self._stream.randrange(len(self._actions))
         else:
             index = int(self.values[state].argmax())
-        if self.learning:
-            self._pending = (state, index)
+        self._pending = (state, index)
         return self._actions[index]
 
     def notify(self, result: StepResult) -> None:
@@ -201,17 +203,18 @@ class QLearningAgent(Agent):
             return
         state, action = self._pending
         self._pending = None
+        values, visits = self.values, self.visits
         target = result.reward
         if not result.done:
             next_state = self.state_index(result.observation)
             self._next = (result.observation, next_state)
             # max() of the row as a list skips numpy's Python-level reduction
             # wrapper; the maximum is exact, and tables hold no NaN.
-            target += self.discount * max(self.values[next_state].tolist())
+            target += self.discount * max(values[next_state].tolist())
         # Read as Python numbers (item), so the updates skip numpy scalars.
-        q = self.values.item(state, action)
-        self.values[state, action] = q + LEARNING_RATE * (target - q)
-        self.visits[state] = self.visits.item(state) + 1
+        q = values.item(state, action)
+        values[state, action] = q + LEARNING_RATE * (target - q)
+        visits[state] = visits.item(state) + 1
         self._steps_done += 1
 
     def train(self, config: EnvConfig, episodes: int, steps_per_episode: int) -> "QLearningAgent":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -131,18 +132,19 @@ def load_trace(path: str | Path) -> EpisodeTrace:
         raise ValueError(f"{path} is not a trace file")
     rows = []
     for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(TRACE_COLUMNS):
-            raise ValueError(f"{path}: malformed row {line!r}")
-        mode = CODE_MODE.get(float(parts[2]))
+        try:
+            step, *parts = line.split(",")
+            speed, code, occupancy, accuracy, reward, cum_reward, purity = map(float, parts)
+            step = int(step)
+        except ValueError:  # a bad token or the wrong number of columns
+            raise ValueError(f"{path}: malformed row {line!r}") from None
+        mode = CODE_MODE.get(code)
         if mode is None:
             raise ValueError(f"{path}: unknown mode code in row {line!r}")
-        rows.append(
-            TraceRow(
-                int(parts[0]), float(parts[1]), mode, float(parts[3]),
-                float(parts[4]), float(parts[5]), float(parts[6]), float(parts[7]),
-            )
-        )
+        # export_trace never writes nan or inf.
+        if not all(map(math.isfinite, (speed, occupancy, accuracy, reward, cum_reward, purity))):
+            raise ValueError(f"{path}: non-finite value in row {line!r}")
+        rows.append(TraceRow(step, speed, mode, occupancy, accuracy, reward, cum_reward, purity))
     return EpisodeTrace(rows)
 
 

@@ -150,14 +150,16 @@ def config_from_mapping(mapping: Mapping[str, Any], base: EnvConfig | None = Non
 
 
 def load_config_file(path: str | Path, base: EnvConfig | None = None) -> EnvConfig:
-    """Read ``key = value`` lines (# starts a comment) into a config."""
+    """Read ``key = value`` lines (# starts a comment; each key once) into a config."""
     mapping: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
-        key, sep, value = text.partition("=")
-        if not sep or not key.strip() or not value.strip():
+        key, sep, value = (part.strip() for part in text.partition("="))
+        if not sep or not key or not value:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        mapping[key.strip()] = value.strip()
+        if key in mapping:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
+        mapping[key] = value
     return config_from_mapping(mapping, base)

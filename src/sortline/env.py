@@ -32,7 +32,6 @@ from .types import (
     MaterialMix,
     Observation,
     StorageTally,
-    speed_fraction,
     validate_action,
 )
 
@@ -116,7 +115,8 @@ class SortingLineEnv:
         if self._obs is None:
             state = self._state or self.state  # the property raises before reset()
             level = self.config.obs_noise_level
-            u = self._obs_stream.uniform(-level, level)
+            # uniform(-level, level) written out; level + level is exactly level - (-level).
+            u = -level + (level + level) * self._obs_stream.random()
             observed = apply_observation_noise(occupancy(state.input), u)
             if self.config.variant is EnvVariant.ADVANCED:
                 self._obs = Observation(observed, classify_ratio(state.input))
@@ -141,7 +141,7 @@ class SortingLineEnv:
         validate_action(action, config.variant)
         speed, mode = action.speed_index, action.mode
 
-        if not state.machine.is_empty:
+        if state.machine != EMPTY_MIX:  # not is_empty: MaterialMix refuses NaN
             _, delta = sort_transfer(state.machine, state.machine_accuracy)
             state.storage.add(delta)
 
@@ -172,7 +172,7 @@ class SortingLineEnv:
         info = {
             "accuracy": accuracy,
             "occupancy": occ,
-            "speed": speed_fraction(speed),
+            "speed": speed / 10.0,  # speed_fraction(speed)
             "purity": purity(state.storage),
             "mode_correct": mode_correct,
         }

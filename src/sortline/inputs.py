@@ -36,7 +36,9 @@ class RandomInputGenerator:
         self._stream = stream
 
     def draw(self) -> MaterialMix:
-        total = self._stream.uniform(*RANDOM_TOTAL_RANGE)
+        # CPython's own uniform(lo, hi), written out: the same draw and float.
+        lo, hi = RANDOM_TOTAL_RANGE
+        total = lo + (hi - lo) * self._stream.random()
         a = total * self._stream.random()  # uniform(0.0, 1.0) is exactly random()
         return MaterialMix(a, total - a)
 
@@ -57,9 +59,11 @@ class SeasonalInputGenerator:
             self.pattern = PATTERNS[self._stream.randrange(len(PATTERNS))]
             self.remaining = self._stream.randrange(PHASE_LENGTH_CHOICES[0], PHASE_LENGTH_CHOICES[-1] + 1)
         self.remaining -= 1
-        total_range, share_range = self.pattern
-        total = self._stream.uniform(*total_range)
-        a = total * self._stream.uniform(*share_range)
+        (lo, hi), (share_lo, share_hi) = self.pattern
+        stream = self._stream
+        # uniform(lo, hi) written out, as in RandomInputGenerator.draw.
+        total = lo + (hi - lo) * stream.random()
+        a = total * (share_lo + (share_hi - share_lo) * stream.random())
         return MaterialMix(a, total - a)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .config import EnvConfig
-from .types import STAGE_CAPACITY, MaterialMix, SortingMode, StorageTally, speed_fraction
+from .types import STAGE_CAPACITY, MaterialMix, SortingMode, StorageTally
 
 BELOW_THRESHOLD_REWARD = -0.1
 CORRECT_MODE_BONUS = 0.15
@@ -26,14 +26,15 @@ def _clamp01(x: float) -> float:
 def occupancy(mix: MaterialMix) -> float:
     """Fraction of stage capacity in use, capped at 1: a full stage may carry
     the float dust ``MaterialMix`` tolerates past capacity."""
-    occ = mix.total / STAGE_CAPACITY
+    a, b = mix
+    occ = (a + b) / STAGE_CAPACITY  # mix.total
     return 1.0 if occ > 1.0 else occ
 
 
 def deterministic_accuracy(speed_index: int, occ: float, config: EnvConfig) -> float:
     """Pre-noise accuracy: perfect up to the speed's occupancy limit, then a
     linear drop of ``abatement`` per unit of excess occupancy, clamped to [0, 1]."""
-    limit = config.limit_for_speed(speed_index)
+    limit = config.occupancy_limits[speed_index - 1]  # config.limit_for_speed(speed_index)
     if occ <= limit:
         return 1.0
     return _clamp01(1.0 - (occ - limit) * config.abatement)
@@ -101,10 +102,10 @@ def sort_transfer(machine: MaterialMix, alpha: float) -> tuple[MaterialMix, Stor
 
 def purity(tally: StorageTally) -> float:
     """Share of stored material that sits in the right container (1.0 if empty)."""
-    total = tally.total
+    total = tally.a_true + tally.a_false + tally.b_true + tally.b_false  # tally.total
     if total == 0.0:
         return 1.0
-    return tally.true_total / total
+    return (tally.a_true + tally.b_true) / total  # tally.true_total / total
 
 
 def step_reward(alpha: float, speed_index: int, config: EnvConfig, speed_changed: bool) -> float:
@@ -115,5 +116,5 @@ def step_reward(alpha: float, speed_index: int, config: EnvConfig, speed_changed
     if alpha < config.threshold:
         return BELOW_THRESHOLD_REWARD - penalty
     accuracy_term = config.r_acc * (alpha - config.threshold) / (1.0 - config.threshold)
-    speed_term = config.r_speed * (speed_fraction(speed_index) - 0.1) / 0.9
+    speed_term = config.r_speed * (speed_index / 10.0 - 0.1) / 0.9  # speed_fraction(speed_index)
     return accuracy_term + speed_term - penalty

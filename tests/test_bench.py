@@ -1,6 +1,7 @@
 """Episode harness, trace files, and the benchmark aggregation."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,28 @@ class TestTraceFiles:
         for code in ("0.700000", "nan"):  # not a mode code
             path.write_text(",".join(TRACE_COLUMNS) + f"\n1,0.5,{code},0.1,1.0,0.5,0.5,1.0\n")
             with pytest.raises(ValueError, match="mode code"):
+                load_trace(path)
+        # export_trace writes only finite values, an integer step and numbers.
+        header = ",".join(TRACE_COLUMNS)
+        for row in (
+            "1,nan,0.0,0.1,1.0,0.5,0.5,1.0",
+            "1,0.5,0.0,inf,1.0,0.5,0.5,1.0",
+            "1,0.5,0.0,0.1,1.0,-inf,0.5,1.0",
+            "1,0.5,0.0,0.1,1.0,0.5,0.5,NaN",
+        ):
+            path.write_text(f"{header}\n{row}\n")
+            with pytest.raises(ValueError, match="non-finite value"):
+                load_trace(path)
+        for row in (
+            "x,0.5,0.0,0.1,1.0,0.5,0.5,1.0",
+            "1.5,0.5,0.0,0.1,1.0,0.5,0.5,1.0",
+            "1,fast,0.0,0.1,1.0,0.5,0.5,1.0",
+            "1,0.5,basic,0.1,1.0,0.5,0.5,1.0",
+            "1,0.5,0.0,0.1,1.0,0.5,0.5,1.0,9",
+            "",
+        ):
+            path.write_text(f"{header}\n{row}\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed row"):
                 load_trace(path)
 
     def test_reference_trace_replays_byte_for_byte(self, tmp_path):

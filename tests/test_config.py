@@ -1,6 +1,7 @@
 """Configuration defaults, validation, parsing, and digests."""
 
 import math
+import re
 
 import pytest
 
@@ -176,4 +177,11 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("threshold 0.9\n")
         with pytest.raises(ConfigError):
+            load_config_file(path)
+
+    def test_repeated_key(self, tmp_path):
+        # The last value used to win silently: this file ran seed 2.
+        path = tmp_path / "twice.cfg"
+        path.write_text("seed = 1\n# comment\nthreshold = 0.6\n seed=2\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:4: repeated key 'seed'"):
             load_config_file(path)

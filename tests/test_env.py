@@ -7,7 +7,8 @@ import pytest
 
 from sortline.config import ConfigError, EnvConfig
 from sortline.env import EpisodeDoneError, SortingLineEnv, apply_observation_noise
-from sortline.sorting import classify_ratio, deterministic_accuracy, step_reward
+from sortline.rng import OBSERVATION_STREAM, make_stream
+from sortline.sorting import classify_ratio, deterministic_accuracy, occupancy, step_reward
 from sortline.types import (
     Action,
     EnvVariant,
@@ -107,6 +108,22 @@ class TestObservationNoise:
             return trail
 
         assert run(extra_calls=2) == run(extra_calls=0)
+
+    @pytest.mark.parametrize("level", [0.0, 0.15, 0.3])
+    def test_noise_is_the_stdlib_uniform_draw(self, level):
+        # observe() writes uniform(-level, level) out; each fresh input must
+        # see exactly the stdlib's draw on the observation stream.
+        for seed in range(20):
+            env = SortingLineEnv(EnvConfig(obs_noise_level=level, episode_length=40))
+            reference = make_stream(seed, OBSERVATION_STREAM)
+            observations = [env.reset(seed=seed)]
+            inputs = [env.state.input]
+            for _ in range(40):
+                observations.append(env.step(Action(5)).observation)
+                inputs.append(env.state.input)
+            for obs, mix in zip(observations, inputs):
+                u = reference.uniform(-level, level)
+                assert obs.input_total == apply_observation_noise(occupancy(mix), u), seed
 
 
 class TestStepPipeline:

@@ -7,6 +7,7 @@ from sortline.inputs import (
     LEVEL_RANGES,
     PATTERNS,
     PHASE_LENGTH_CHOICES,
+    RANDOM_TOTAL_RANGE,
     REGIME_A_FRACTION,
     RandomInputGenerator,
     SeasonalInputGenerator,
@@ -95,3 +96,40 @@ class TestSeasonalInputs:
             lines.append(f"{step},{mix.a!r},{mix.b!r}")
         expected = (GOLDEN / "seasonal_inputs_seed42.csv").read_text()
         assert "\n".join(lines) + "\n" == expected
+
+
+class TestDrawsMatchTheStdlib:
+    """The generators write ``uniform`` out on their streams; for every seed
+    they must give the mixes of a reference that calls ``stream.uniform`` in
+    the frozen draw order, bit for bit."""
+
+    @staticmethod
+    def reference_random(stream, steps):
+        for _ in range(steps):
+            total = stream.uniform(*RANDOM_TOTAL_RANGE)
+            a = total * stream.uniform(0.0, 1.0)
+            yield (a, total - a)
+
+    @staticmethod
+    def reference_seasonal(stream, steps):
+        remaining = 0
+        for _ in range(steps):
+            if remaining == 0:
+                pattern = PATTERNS[stream.randrange(len(PATTERNS))]
+                remaining = stream.randrange(PHASE_LENGTH_CHOICES[0], PHASE_LENGTH_CHOICES[-1] + 1)
+            remaining -= 1
+            total = stream.uniform(*pattern[0])
+            a = total * stream.uniform(*pattern[1])
+            yield (a, total - a)
+
+    def test_random_generator(self):
+        for seed in range(200):
+            gen = RandomInputGenerator(make_stream(seed, INPUT_STREAM))
+            expected = list(self.reference_random(make_stream(seed, INPUT_STREAM), 40))
+            assert [gen.draw() for _ in range(40)] == expected, seed
+
+    def test_seasonal_generator(self):
+        for seed in range(200):
+            gen = SeasonalInputGenerator(make_stream(seed, INPUT_STREAM))
+            expected = list(self.reference_seasonal(make_stream(seed, INPUT_STREAM), 40))
+            assert [gen.draw() for _ in range(40)] == expected, seed
