@@ -7,10 +7,9 @@ category as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import ConfigError, EnvConfig
 from .env import SortingLineEnv, StepResult
@@ -140,6 +139,15 @@ EPSILON_FINAL = 0.05
 EPSILON_DECAY_FRACTION = 0.5
 
 
+def _read_only_array(data: list, dtype: str):
+    """A numpy copy of ``data`` that refuses writes, which would otherwise be lost."""
+    import numpy as np  # here, so only readers of a Q-table pay for numpy's import
+
+    array = np.array(data, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 class QLearningAgent(Agent):
     """One-step tabular Q-learning over ``BINS`` observation bins.
 
@@ -150,6 +158,9 @@ class QLearningAgent(Agent):
     training steps, then stays at ``EPSILON_FINAL``.  With
     ``learning`` off (the default outside ``train``), ``act`` is the greedy
     policy with ties toward the lower speed index.
+
+    The table lives in plain Python lists, one row of action values per
+    state; ``values`` and ``visits`` hand out read-only numpy copies.
     """
 
     name = "qtable"
@@ -162,14 +173,24 @@ class QLearningAgent(Agent):
         self._stream = make_stream(seed, AGENT_STREAM)
         self._category_index = {category: i for i, category in enumerate(MODES[variant])}
         states = BINS * len(self._category_index)
-        self.values = np.zeros((states, action_count(variant)))
-        self.visits = np.zeros(states, dtype=np.int64)
-        self.learning = False
         self._actions = all_actions(variant)
+        self._q = [[0.0] * len(self._actions) for _ in range(states)]
+        self._visits = [0] * states
+        self.learning = False
         self._pending: tuple[int, int] | None = None
         self._next: tuple[object, int] = (object(), 0)  # (observation, state index) notify encoded last
         self._planned_steps = 0
         self._steps_done = 0
+
+    @property
+    def values(self):
+        """Read-only float64 array (states x actions) copied from the table."""
+        return _read_only_array(self._q, "float64")
+
+    @property
+    def visits(self):
+        """Read-only int64 array of the updates made from each state."""
+        return _read_only_array(self._visits, "int64")
 
     def state_index(self, obs: Observation) -> int:
         b = bin_index(obs.input_total)
@@ -189,12 +210,14 @@ class QLearningAgent(Agent):
 
     def act(self, obs: Observation) -> Action:
         state = self._next[1] if obs is self._next[0] else self.state_index(obs)
+        row = self._q[state]
+        # index(max(row)) is the first maximum, as argmax; tables hold no NaN.
         if not self.learning:
-            return self._actions[self.values[state].argmax()]
+            return self._actions[row.index(max(row))]
         if self._stream.random() < self.epsilon():
             index = self._stream.randrange(len(self._actions))
         else:
-            index = int(self.values[state].argmax())
+            index = row.index(max(row))
         self._pending = (state, index)
         return self._actions[index]
 
@@ -203,18 +226,15 @@ class QLearningAgent(Agent):
             return
         state, action = self._pending
         self._pending = None
-        values, visits = self.values, self.visits
         target = result.reward
         if not result.done:
             next_state = self.state_index(result.observation)
             self._next = (result.observation, next_state)
-            # max() of the row as a list skips numpy's Python-level reduction
-            # wrapper; the maximum is exact, and tables hold no NaN.
-            target += self.discount * max(values[next_state].tolist())
-        # Read as Python numbers (item), so the updates skip numpy scalars.
-        q = values.item(state, action)
-        values[state, action] = q + LEARNING_RATE * (target - q)
-        visits[state] = visits.item(state) + 1
+            target += self.discount * max(self._q[next_state])
+        row = self._q[state]
+        q = row[action]
+        row[action] = q + LEARNING_RATE * (target - q)
+        self._visits[state] += 1
         self._steps_done += 1
 
     def train(self, config: EnvConfig, episodes: int, steps_per_episode: int) -> "QLearningAgent":
@@ -247,9 +267,9 @@ class QLearningAgent(Agent):
             f"{QTABLE_MAGIC} {QTABLE_FORMAT_VERSION}",
             f"variant {self.variant.value}",
             f"bins {BINS}",
-            f"actions {self.values.shape[1]}",
+            f"actions {len(self._actions)}",
         ]
-        lines.extend(" ".join(repr(v) for v in row) for row in self.values.tolist())
+        lines.extend(" ".join(repr(v) for v in row) for row in self._q)
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
@@ -269,12 +289,12 @@ class QLearningAgent(Agent):
         if bins != BINS:
             raise ValueError(f"{path}: {bins} bins, expected {BINS}")
         agent = cls(variant)
-        if actions != agent.values.shape[1]:
+        if actions != len(agent._actions):
             raise ValueError(f"{path}: {actions} actions does not match variant {variant.value}")
         rows = [[float(v) for v in line.split()] for line in lines[4:] if line.strip()]
-        if len(rows) != agent.values.shape[0] or any(len(r) != actions for r in rows):
+        if len(rows) != len(agent._q) or any(len(r) != actions for r in rows):
             raise ValueError(f"{path}: table shape does not match header")
-        agent.values = np.array(rows)
-        if not np.isfinite(agent.values).all():
+        if not all(math.isfinite(v) for row in rows for v in row):
             raise ValueError(f"{path}: table holds a non-finite value")
+        agent._q = rows
         return agent

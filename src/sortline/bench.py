@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .agents import Agent, QLearningAgent, RuleBasedAgent
 from .config import ConfigError, EnvConfig
 from .env import SortingLineEnv
 from .rng import stream_seed
-from .types import EnvVariant, InputType, SortingMode
+from .types import SPEED_INDICES, EnvVariant, InputType, SortingMode
 
 # Numeric mode coding used in trace files, chosen to sit on a 0..1 plot axis.
 MODE_CODE = {SortingMode.BASIC: 0.0, SortingMode.POSITIVE: 0.5, SortingMode.NEGATIVE: 1.0}
@@ -34,6 +33,8 @@ class TraceRow(NamedTuple):
 
 # Trace CSV columns: the TraceRow fields, in order.
 TRACE_COLUMNS = TraceRow._fields
+# The speed column holds the speed fraction, speed index / 10.
+TRACE_SPEEDS = frozenset(k / 10.0 for k in SPEED_INDICES)
 
 
 @dataclass(slots=True)
@@ -130,20 +131,32 @@ def load_trace(path: str | Path) -> EpisodeTrace:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != ",".join(TRACE_COLUMNS):
         raise ValueError(f"{path} is not a trace file")
+    isfinite = math.isfinite
     rows = []
-    for line in lines[1:]:
+    for position, line in enumerate(lines[1:], start=1):
         try:
-            step, *parts = line.split(",")
-            speed, code, occupancy, accuracy, reward, cum_reward, purity = map(float, parts)
-            step = int(step)
+            step, speed, code, occupancy, accuracy, reward, cum_reward, purity = line.split(",")
+            step, speed, code = int(step), float(speed), float(code)
+            occupancy, accuracy, reward = float(occupancy), float(accuracy), float(reward)
+            cum_reward, purity = float(cum_reward), float(purity)
         except ValueError:  # a bad token or the wrong number of columns
             raise ValueError(f"{path}: malformed row {line!r}") from None
         mode = CODE_MODE.get(code)
         if mode is None:
             raise ValueError(f"{path}: unknown mode code in row {line!r}")
-        # export_trace never writes nan or inf.
-        if not all(map(math.isfinite, (speed, occupancy, accuracy, reward, cum_reward, purity))):
+        # export_trace writes only what run_episode records: finite values,
+        # steps 1, 2, ... in order, speeds on the tenths grid and fractions.
+        if not (
+            isfinite(speed) and isfinite(occupancy) and isfinite(accuracy)
+            and isfinite(reward) and isfinite(cum_reward) and isfinite(purity)
+        ):
             raise ValueError(f"{path}: non-finite value in row {line!r}")
+        if step != position:
+            raise ValueError(f"{path}: step {step} at row {position}: {line!r}")
+        if speed not in TRACE_SPEEDS:
+            raise ValueError(f"{path}: speed off the tenths grid in row {line!r}")
+        if not (0.0 <= occupancy <= 1.0 and 0.0 <= accuracy <= 1.0 and 0.0 <= purity <= 1.0):
+            raise ValueError(f"{path}: occupancy, accuracy or purity outside [0, 1] in row {line!r}")
         rows.append(TraceRow(step, speed, mode, occupancy, accuracy, reward, cum_reward, purity))
     return EpisodeTrace(rows)
 
@@ -244,16 +257,19 @@ def run_benchmark(
             summaries = [
                 run_episode(config, agent, steps=steps, seed=seed)[1] for seed in ordered_seeds
             ]
-            rewards = np.array([s.cumulative_reward for s in summaries])
+            rewards = [s.cumulative_reward for s in summaries]
+            mean_reward = statistics.fmean(rewards)
+            # Population std; statistics.pstdev gives the same figure at ~30x the cost.
+            std_reward = math.sqrt(math.fsum((r - mean_reward) ** 2 for r in rewards) / len(rewards))
             report.records.append(
                 BenchRecord(
                     setup=setup_name,
                     agent=agent_name,
                     seeds=len(ordered_seeds),
-                    mean_reward=round(float(np.mean(rewards)), 2),
-                    std_reward=round(float(np.std(rewards)), 2),
-                    mean_speed=round(float(np.mean([s.mean_speed for s in summaries])), 1),
-                    mean_purity=round(float(np.mean([s.mean_purity for s in summaries])), 1),
+                    mean_reward=round(mean_reward, 2),
+                    std_reward=round(std_reward, 2),
+                    mean_speed=round(statistics.fmean(s.mean_speed for s in summaries), 1),
+                    mean_purity=round(statistics.fmean(s.mean_purity for s in summaries), 1),
                 )
             )
     return report

@@ -152,7 +152,8 @@ def config_from_mapping(mapping: Mapping[str, Any], base: EnvConfig | None = Non
 def load_config_file(path: str | Path, base: EnvConfig | None = None) -> EnvConfig:
     """Read ``key = value`` lines (# starts a comment; each key once) into a config."""
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    content = Path(path).read_text(encoding="utf-8-sig")  # utf-8-sig drops a leading byte-order mark
+    for lineno, line in enumerate(content.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

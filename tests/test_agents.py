@@ -1,10 +1,15 @@
 """Agent policies: discretization, rule-based table, Q-learning mechanics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sortline
 from sortline import sorting
 from sortline.agents import (
     BINS,
@@ -141,8 +146,27 @@ class TestQLearningAgent:
 
     def test_greedy_follows_the_table(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=0)
-        agent.values[bin_index(0.4), 6] = 2.5
+        agent._q[bin_index(0.4)][6] = 2.5
         assert agent.act(Observation(0.4)) == Action(7)
+
+    def test_greedy_ties_resolve_to_the_first_maximum(self):
+        agent = QLearningAgent(EnvVariant.BASIC, seed=0)
+        state = bin_index(0.4)
+        agent._q[state][:3] = [1.0, 3.0, 3.0]
+        assert agent.act(Observation(0.4)) == Action(2)
+        agent.learning = True
+        agent.epsilon = lambda: 0.0  # never explore
+        assert agent.act(Observation(0.4)) == Action(2)
+        assert agent._pending == (state, 1)
+
+    def test_values_and_visits_are_read_only_snapshots(self):
+        agent = QLearningAgent(EnvVariant.BASIC, seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            agent.values[3, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            agent.visits[3] = 1
+        assert not agent.values.any() and not agent.visits.any()
+        assert agent.values.dtype == np.float64 and agent.visits.dtype == np.int64
 
     def test_exploration_hits_every_action(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=5)
@@ -173,7 +197,7 @@ class TestQLearningAgent:
     def test_td_update_bootstraps_from_the_next_state(self):
         agent = QLearningAgent(EnvVariant.BASIC, discount=0.5)
         agent.learning = True
-        agent.values[bin_index(0.9), 3] = 2.0
+        agent._q[bin_index(0.9)][3] = 2.0
         agent._pending = (bin_index(0.1), 0)
         agent.notify(outcome(0.9, reward=1.0))
         assert agent.values[bin_index(0.1), 0] == pytest.approx(LEARNING_RATE * (1.0 + 0.5 * 2.0))
@@ -181,7 +205,7 @@ class TestQLearningAgent:
     def test_terminal_steps_do_not_bootstrap(self):
         agent = QLearningAgent(EnvVariant.BASIC, discount=0.9)
         agent.learning = True
-        agent.values[bin_index(0.9), 3] = 50.0
+        agent._q[bin_index(0.9)][3] = 50.0
         agent._pending = (bin_index(0.1), 0)
         agent.notify(outcome(0.9, reward=0.25, done=True))
         assert agent.values[bin_index(0.1), 0] == pytest.approx(LEARNING_RATE * 0.25)
@@ -245,6 +269,14 @@ class TestQTableFiles:
         assert np.array_equal(loaded.values, agent.values)
         assert math.isclose(loaded.values.sum(), agent.values.sum(), rel_tol=0.0, abs_tol=0.0)
 
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        agent = QLearningAgent(EnvVariant.BASIC, seed=4)
+        agent.train(EnvConfig(), episodes=3, steps_per_episode=30)
+        first, second = tmp_path / "first.qt", tmp_path / "second.qt"
+        agent.save(first)
+        QLearningAgent.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_header_is_validated(self, tmp_path):
         path = tmp_path / "bad.qt"
         path.write_text("not-a-qtable 1\nbasic\n20 10\n")
@@ -305,3 +337,17 @@ class TestPolicyAgreement:
                 mismatches.append(b)
         assert any(agent.visits >= 300)
         assert mismatches == []
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    """numpy loads only when a Q-table snapshot is read."""
+    script = (
+        "import sys, sortline, sortline.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "values = sortline.QLearningAgent(sortline.EnvVariant.BASIC).values\n"
+        "print(values.shape, values.dtype)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sortline.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(20, 10) float64\n"

@@ -161,6 +161,32 @@ class TestTraceFiles:
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed row"):
                 load_trace(path)
 
+    def test_load_rejects_rows_export_cannot_write(self, tmp_path):
+        path = tmp_path / "impossible.csv"
+        header = ",".join(TRACE_COLUMNS)
+        good = "1,0.500000,0.000000,0.100000,1.000000,0.500000,0.500000,1.000000"
+        for rows, fault in (
+            (["-3,0.55,0.0,7.5,2.0,0.5,9.0,2.5"], "step -3 at row 1"),
+            ([good, good], "step 1 at row 2"),
+            (["0,0.5,0.0,0.1,1.0,0.5,0.5,1.0"], "step 0 at row 1"),
+            (["1,0.55,0.0,0.1,1.0,0.5,0.5,1.0"], "speed off the tenths grid"),
+            (["1,0.0,0.0,0.1,1.0,0.5,0.5,1.0"], "speed off the tenths grid"),
+            (["1,1.1,0.0,0.1,1.0,0.5,0.5,1.0"], "speed off the tenths grid"),
+            (["1,0.5,0.0,7.5,1.0,0.5,0.5,1.0"], "occupancy, accuracy or purity outside [0, 1]"),
+            (["1,0.5,0.0,0.1,2.0,0.5,0.5,1.0"], "occupancy, accuracy or purity outside [0, 1]"),
+            (["1,0.5,0.0,0.1,1.0,0.5,0.5,2.5"], "occupancy, accuracy or purity outside [0, 1]"),
+            (["1,0.5,0.0,-0.1,1.0,0.5,0.5,1.0"], "occupancy, accuracy or purity outside [0, 1]"),
+        ):
+            path.write_text("\n".join([header, *rows]) + "\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {fault}')}"):
+                load_trace(path)
+        # The extremes export_trace can write still load.
+        path.write_text(
+            f"{header}\n1,0.100000,1.000000,0.000000,0.000000,-0.600000,-0.600000,0.000000\n"
+            "2,1.000000,0.500000,1.000000,1.000000,1.000000,0.400000,1.000000\n"
+        )
+        assert [row.step for row in load_trace(path).rows] == [1, 2]
+
     def test_reference_trace_replays_byte_for_byte(self, tmp_path):
         config = EnvConfig()
         trace, _ = run_episode(config, RuleBasedAgent(config), steps=50, seed=42)

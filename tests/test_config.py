@@ -185,3 +185,8 @@ class TestConfigFile:
         path.write_text("seed = 1\n# comment\nthreshold = 0.6\n seed=2\n")
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:4: repeated key 'seed'"):
             load_config_file(path)
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("\ufeffseed = 3\n", encoding="utf-8")
+        assert load_config_file(path).seed == 3
