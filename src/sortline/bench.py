@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import statistics
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -33,6 +34,12 @@ class TraceRow(NamedTuple):
 
 # Trace CSV columns: the TraceRow fields, in order.
 TRACE_COLUMNS = TraceRow._fields
+_HEADER = ",".join(TRACE_COLUMNS) + "\n"
+# One trace row: the step, then the seven float columns at six decimals.
+# ``%.6f`` renders a float exactly as the ``:.6f`` format spec does.
+_ROW_FORMAT = "%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n"
+# O_BINARY (Windows only) keeps the C runtime from writing "\n" as "\r\n".
+_EXPORT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 # The speed column holds the speed fraction, speed index / 10.
 TRACE_SPEEDS = frozenset(k / 10.0 for k in SPEED_INDICES)
 
@@ -116,15 +123,33 @@ def run_episode(
 
 
 def export_trace(trace: EpisodeTrace, path: str | Path) -> None:
-    """Write a trace as CSV: one header line, then one row per step with all
-    floats at six decimals and the mode numerically coded (0 / 0.5 / 1)."""
-    lines = [",".join(TRACE_COLUMNS)]
-    for r in trace.rows:
-        lines.append(
-            f"{r.step},{r.speed:.6f},{MODE_CODE[r.mode]:.6f},{r.occupancy:.6f},{r.accuracy:.6f},"
-            f"{r.reward:.6f},{r.cum_reward:.6f},{r.purity:.6f}"
+    """Write a trace as ASCII CSV with "\\n" line endings: one header line,
+    then one row per step with all floats at six decimals and the mode
+    numerically coded (0 / 0.5 / 1).
+
+    An existing file is overwritten in place and cut to length only when it
+    was longer.  Opening with O_TRUNC would cut a file holding data to zero
+    first, and on ext4 (``auto_da_alloc``) that makes ``close`` start
+    writeback of the new data on every overwrite.
+    """
+    data = (_HEADER + "".join([
+        _ROW_FORMAT % (
+            r.step, r.speed, MODE_CODE[r.mode], r.occupancy, r.accuracy, r.reward, r.cum_reward, r.purity
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+        for r in trace.rows
+    ])).encode("ascii")
+    fd = os.open(path, _EXPORT_FLAGS, 0o666)
+    try:
+        # Decided before writing; a device such as /dev/null reports size 0
+        # and cannot be truncated.
+        longer = os.fstat(fd).st_size > len(data)
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if longer:
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def load_trace(path: str | Path) -> EpisodeTrace:
@@ -181,15 +206,22 @@ def standard_setups(
 AgentFactory = Callable[[EnvConfig, int], Agent]
 
 
+def training_episodes(train_steps: int, episode_steps: int) -> int:
+    """The number of ``episode_steps``-step episodes that comes nearest
+    ``train_steps``, at least one."""
+    if train_steps < 1 or episode_steps < 1:
+        raise ConfigError(f"training steps must be positive, got {train_steps} and {episode_steps}")
+    return max(1, round(train_steps / episode_steps))
+
+
 def default_agent_factories(
     train_steps: int = 100_000,
     episode_steps: int = 250,
 ) -> dict[str, AgentFactory]:
     """Factories for the bundled agents.  The Q-agent trains on construction in
-    ``episode_steps``-step episodes, as many as come nearest ``train_steps``."""
-    if train_steps < 1 or episode_steps < 1:
-        raise ConfigError(f"training steps must be positive, got {train_steps} and {episode_steps}")
-    episodes = max(1, round(train_steps / episode_steps))
+    ``training_episodes(train_steps, episode_steps)`` episodes of
+    ``episode_steps`` steps."""
+    episodes = training_episodes(train_steps, episode_steps)
 
     def rba(config: EnvConfig, train_seed: int) -> Agent:
         return RuleBasedAgent(config)

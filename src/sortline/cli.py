@@ -7,7 +7,14 @@ import sys
 from pathlib import Path
 
 from .agents import QLearningAgent, RandomAgent
-from .bench import default_agent_factories, export_trace, run_benchmark, run_episode, standard_setups
+from .bench import (
+    default_agent_factories,
+    export_trace,
+    run_benchmark,
+    run_episode,
+    standard_setups,
+    training_episodes,
+)
 from .config import ConfigError, EnvConfig, config_from_mapping, load_config_file
 from .server import serve
 from .sorting import deterministic_accuracy, step_reward
@@ -71,10 +78,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     train = default_agent_factories(args.train_steps, args.episode_steps)["qtable"]
     agent = train(config, config.seed)
     agent.save(args.out)
-    total = int(sum(agent.visits))  # every training step visits one state
+    episodes = training_episodes(args.train_steps, args.episode_steps)
     print(
-        f"trained {total // args.episode_steps} episodes x {args.episode_steps} steps "
-        f"({total} total) -> {args.out}"
+        f"trained {episodes} episodes x {args.episode_steps} steps "
+        f"({episodes * args.episode_steps} total) -> {args.out}"
     )
     return 0
 

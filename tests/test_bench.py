@@ -1,11 +1,13 @@
 """Episode harness, trace files, and the benchmark aggregation."""
 
 import json
+import os
 import re
 from pathlib import Path
 
 import pytest
 
+from sortline import bench
 from sortline.agents import Agent, RuleBasedAgent
 from sortline.bench import (
     MODE_CODE,
@@ -193,6 +195,53 @@ class TestTraceFiles:
         path = tmp_path / "replay.csv"
         export_trace(trace, path)
         assert path.read_bytes() == GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("extra", [4096, 1, 0, -1, -len(GOLDEN.read_bytes()) + 1])
+    def test_overwriting_leaves_exactly_the_new_bytes(self, tmp_path, extra):
+        """An existing file longer or shorter than the trace is overwritten in place."""
+        config = EnvConfig()
+        trace, _ = run_episode(config, RuleBasedAgent(config), steps=50, seed=42)
+        golden = GOLDEN.read_bytes()
+        path = tmp_path / "old.csv"
+        path.write_bytes(b"x" * (len(golden) + extra))
+        export_trace(trace, path)
+        assert path.read_bytes() == golden
+
+    def test_a_fresh_file_gets_the_usual_permissions(self, tmp_path):
+        trace, _ = run_episode(EnvConfig(), ConstantAgent(), steps=3, seed=1)
+        exported = tmp_path / "exported.csv"
+        written = tmp_path / "written.csv"
+        export_trace(trace, exported)
+        written.write_text("")
+        assert exported.stat().st_mode == written.stat().st_mode
+
+    def test_export_to_the_null_device(self):
+        trace, _ = run_episode(EnvConfig(), ConstantAgent(), steps=3, seed=1)
+        export_trace(trace, os.devnull)
+
+    @pytest.mark.skipif(
+        not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")), reason="Linux devices"
+    )
+    def test_a_failed_write_closes_the_file(self):
+        trace, _ = run_episode(EnvConfig(), ConstantAgent(), steps=3, seed=1)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError):
+            export_trace(trace, "/dev/full")  # every write fails with ENOSPC
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, -4e-7, 4e-7, 5e-7, -5e-7, 1.5e-6, 2.5e-6, 0.1234565, 0.0000125, 1 - 5e-7,
+        0.1, 0.4, 0.5, -0.6, 1.0, 1e300, -1e300, 5e-324, float("inf"), float("nan"),
+    ])
+    def test_row_format_matches_the_format_spec(self, value):
+        """``_ROW_FORMAT`` writes the bytes a ``:.6f`` f-string row writes."""
+        fields = (7, value, value, value, value, value, value, value)
+        step, speed, code, occupancy, accuracy, reward, cum_reward, purity = fields
+        expected = (
+            f"{step},{speed:.6f},{code:.6f},{occupancy:.6f},{accuracy:.6f},"
+            f"{reward:.6f},{cum_reward:.6f},{purity:.6f}\n"
+        )
+        assert bench._ROW_FORMAT % fields == expected
 
 
 class TestStandardSetups:

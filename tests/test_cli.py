@@ -76,6 +76,20 @@ class TestTrain:
         assert run_cli("simulate", "--agent", "qtable", "--table", table, "--out", out) == 0
         assert len(out.read_text().splitlines()) == 51
 
+    def test_training_leaves_numpy_unloaded(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from sortline import cli\n"
+            f"assert cli.main(['train', '--train-steps', '500', '--out', {str(tmp_path / 'q.txt')!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sortline.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"trained 2 episodes x 250 steps (500 total) -> {tmp_path / 'q.txt'}\n"
+
     def test_variant_mismatch_is_reported(self, tmp_path, capsys):
         table = tmp_path / "basic.txt"
         run_cli("train", "--train-steps", 100, "--episode-steps", 50, "--out", table)
