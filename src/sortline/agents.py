@@ -15,16 +15,7 @@ from .config import ConfigError, EnvConfig
 from .env import SortingLineEnv, StepResult
 from .rng import AGENT_STREAM, make_stream
 from .sorting import apply_mode, base_accuracy, deterministic_accuracy, step_reward
-from .types import (
-    MODES,
-    Action,
-    EnvVariant,
-    Observation,
-    SortingMode,
-    action_count,
-    action_from_index,
-    all_actions,
-)
+from .types import ACTIONS, MODES, Action, EnvVariant, Observation, SortingMode
 
 BINS = 20
 
@@ -58,7 +49,7 @@ class RandomAgent(Agent):
         self._stream = make_stream(seed, AGENT_STREAM)
 
     def act(self, obs: Observation) -> Action:
-        return action_from_index(self._stream.randrange(action_count(self.variant)), self.variant)
+        return self._stream.choice(ACTIONS[self.variant])
 
 
 class _NoiseMean:
@@ -95,7 +86,7 @@ def best_action(config: EnvConfig, occ: float, category: SortingMode | None = No
     """
     best = None
     best_reward = -float("inf")
-    for action in all_actions(config.variant):
+    for action in ACTIONS[config.variant]:
         reward = expected_immediate_reward(config, occ, action, category)
         if reward > best_reward:
             best = action
@@ -173,7 +164,7 @@ class QLearningAgent(Agent):
         self._stream = make_stream(seed, AGENT_STREAM)
         self._category_index = {category: i for i, category in enumerate(MODES[variant])}
         states = BINS * len(self._category_index)
-        self._actions = all_actions(variant)
+        self._actions = ACTIONS[variant]
         self._q = [[0.0] * len(self._actions) for _ in range(states)]
         self._visits = [0] * states
         self.learning = False

@@ -10,11 +10,11 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .agents import Agent, QLearningAgent, RuleBasedAgent
+from .agents import Agent, QLearningAgent, RandomAgent, RuleBasedAgent
 from .config import ConfigError, EnvConfig
 from .env import SortingLineEnv
 from .rng import stream_seed
-from .types import SPEED_INDICES, EnvVariant, InputType, SortingMode
+from .types import SPEED_INDICES, EnvVariant, InputType, SortingMode, speed_fraction
 
 # Numeric mode coding used in trace files, chosen to sit on a 0..1 plot axis.
 MODE_CODE = {SortingMode.BASIC: 0.0, SortingMode.POSITIVE: 0.5, SortingMode.NEGATIVE: 1.0}
@@ -40,8 +40,8 @@ _HEADER = ",".join(TRACE_COLUMNS) + "\n"
 _ROW_FORMAT = "%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n"
 # O_BINARY (Windows only) keeps the C runtime from writing "\n" as "\r\n".
 _EXPORT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
-# The speed column holds the speed fraction, speed index / 10.
-TRACE_SPEEDS = frozenset(k / 10.0 for k in SPEED_INDICES)
+# The speed column holds the speed fraction of a speed index.
+TRACE_SPEEDS = frozenset(speed_fraction(k) for k in SPEED_INDICES)
 
 
 @dataclass(slots=True)
@@ -117,7 +117,7 @@ def run_episode(
         rows,
         config_digest=run_config.digest(),
         seed=run_config.seed,
-        agent_name=getattr(agent, "name", type(agent).__name__),
+        agent_name=agent.name,
     )
     return trace, summarize(trace)
 
@@ -154,7 +154,7 @@ def export_trace(trace: EpisodeTrace, path: str | Path) -> None:
 
 def load_trace(path: str | Path) -> EpisodeTrace:
     lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
+    if not lines or lines[0] + "\n" != _HEADER:
         raise ValueError(f"{path} is not a trace file")
     isfinite = math.isfinite
     rows = []
@@ -218,9 +218,10 @@ def default_agent_factories(
     train_steps: int = 100_000,
     episode_steps: int = 250,
 ) -> dict[str, AgentFactory]:
-    """Factories for the bundled agents.  The Q-agent trains on construction in
-    ``training_episodes(train_steps, episode_steps)`` episodes of
-    ``episode_steps`` steps."""
+    """Factories for the bundled agents, keyed by the names the CLI takes.  The
+    Q-agent trains on construction in ``training_episodes(train_steps,
+    episode_steps)`` episodes of ``episode_steps`` steps; the random agent is
+    seeded by the training seed."""
     episodes = training_episodes(train_steps, episode_steps)
 
     def rba(config: EnvConfig, train_seed: int) -> Agent:
@@ -230,7 +231,10 @@ def default_agent_factories(
         agent = QLearningAgent(config.variant, seed=train_seed)
         return agent.train(config, episodes, episode_steps)
 
-    return {"rba": rba, "qtable": qtable}
+    def random(config: EnvConfig, train_seed: int) -> Agent:
+        return RandomAgent(config.variant, seed=train_seed)
+
+    return {"rba": rba, "qtable": qtable, "random": random}
 
 
 @dataclass(frozen=True, slots=True)

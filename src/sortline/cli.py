@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .agents import QLearningAgent, RandomAgent
+from .agents import QLearningAgent
 from .bench import (
     default_agent_factories,
     export_trace,
@@ -44,16 +44,9 @@ def _config_from_args(args: argparse.Namespace) -> EnvConfig:
     return config_from_mapping({k: v for k, v in overrides.items() if v is not None}, base=config)
 
 
-def _agent_factories(**options):
-    """The bundled agents plus a uniform random baseline seeded by the factory seed."""
-    factories = default_agent_factories(**options)
-    factories["random"] = lambda config, seed: RandomAgent(config.variant, seed=seed)
-    return factories
-
-
 def _make_agent(args: argparse.Namespace, config: EnvConfig):
     if args.agent != "qtable":
-        return _agent_factories()[args.agent](config, config.seed)
+        return default_agent_factories()[args.agent](config, config.seed)
     if not args.table:
         raise ConfigError("--agent qtable needs --table FILE (see the train command)")
     return QLearningAgent.load(args.table)
@@ -89,12 +82,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
     setups = standard_setups(base.variant, base=base)
-    factories = _agent_factories(train_steps=args.train_steps, episode_steps=args.episode_steps)
+    factories = default_agent_factories(args.train_steps, args.episode_steps)
+    known = ", ".join(factories)
     wanted = [name.strip() for name in args.agents.split(",") if name.strip()]
+    if not wanted:
+        raise ConfigError(f"--agents names no agent (choose from {known})")
     unknown = [name for name in wanted if name not in factories]
     if unknown:
-        known = ", ".join(factories)
         raise ConfigError(f"unknown agents: {', '.join(unknown)} (choose from {known})")
+    if len(set(wanted)) != len(wanted):
+        raise ConfigError(f"benchmark agents must be distinct, got {args.agents!r}")
     picked = {name: factories[name] for name in wanted}
     seeds = [args.seed_base + i for i in range(args.seeds)]
     report = run_benchmark(setups, picked, seeds, steps=args.steps)
@@ -135,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = commands.add_parser("simulate", help="run one episode and export its trace")
     _add_config_flags(simulate, *CONFIG_FLAGS)
-    simulate.add_argument("--agent", choices=list(_agent_factories()), default="rba")
+    simulate.add_argument("--agent", choices=list(default_agent_factories()), default="rba")
     simulate.add_argument("--table", metavar="FILE", help="table file for --agent qtable")
     simulate.add_argument("--out", default="trace.csv", help="trace CSV path")
     simulate.set_defaults(func=cmd_simulate)
@@ -182,7 +179,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    # OverflowError: a port outside 0-65535 fails in bind().
+    except (ConfigError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -141,7 +141,7 @@ class SortingLineEnv:
         validate_action(action, config.variant)
         speed, mode = action.speed_index, action.mode
 
-        if state.machine != EMPTY_MIX:  # not is_empty: MaterialMix refuses NaN
+        if state.machine != EMPTY_MIX:
             _, delta = sort_transfer(state.machine, state.machine_accuracy)
             state.storage.add(delta)
 

@@ -73,6 +73,11 @@ def _obs_payload(obs: Observation) -> dict[str, Any]:
     return payload
 
 
+def _state_payload(obs: Observation, reward: float | None, done: bool, info: dict[str, Any]) -> dict[str, Any]:
+    """The reply to reset or step; the arguments are a ``StepResult``'s fields."""
+    return {"type": "state", "observation": _obs_payload(obs), "reward": reward, "done": done, "info": info}
+
+
 def _error(code: str, message: str) -> dict[str, Any]:
     return {"type": "error", "code": code, "message": message}
 
@@ -126,13 +131,7 @@ class Session:
             return _error("BAD_CONFIG", str(exc))
         self.config = config
         self.env = env
-        return {
-            "type": "state",
-            "observation": _obs_payload(obs),
-            "reward": None,
-            "done": False,
-            "info": {},
-        }
+        return _state_payload(obs, None, False, {})
 
     def _step(self, request: dict[str, Any]) -> dict[str, Any]:
         if self.env is None:
@@ -144,13 +143,7 @@ class Session:
             return _error("EPISODE_DONE", str(exc))
         except ValueError as exc:
             return _error("BAD_ACTION", str(exc))
-        return {
-            "type": "state",
-            "observation": _obs_payload(result.observation),
-            "reward": result.reward,
-            "done": result.done,
-            "info": result.info,
-        }
+        return _state_payload(*result)
 
 
 def _encode(response: dict[str, Any]) -> bytes:

@@ -105,7 +105,7 @@ def purity(tally: StorageTally) -> float:
     total = tally.a_true + tally.a_false + tally.b_true + tally.b_false  # tally.total
     if total == 0.0:
         return 1.0
-    return (tally.a_true + tally.b_true) / total  # tally.true_total / total
+    return (tally.a_true + tally.b_true) / total
 
 
 def step_reward(alpha: float, speed_index: int, config: EnvConfig, speed_changed: bool) -> float:

@@ -42,10 +42,6 @@ class SortingMode(Enum):
             raise ValueError(f"unknown sorting mode {name!r}") from None
 
 
-# Fixed ordering used for discretized state/action indexing.
-MODE_ORDER = tuple(SortingMode)
-
-
 # Tiny slack absorbs float dust from sorting arithmetic on full stages.
 _CAPACITY_WITH_SLACK = STAGE_CAPACITY + 1e-6
 
@@ -82,10 +78,6 @@ class MaterialMix(_Mix):
     def total(self) -> float:
         return self.a + self.b
 
-    @property
-    def is_empty(self) -> bool:
-        return self.a == 0.0 and self.b == 0.0
-
 
 EMPTY_MIX = MaterialMix(0.0, 0.0)
 
@@ -106,7 +98,7 @@ class Action:
 # What an action's mode and an observation's ratio category may be, per variant.
 MODES: dict[EnvVariant, tuple[SortingMode | None, ...]] = {
     EnvVariant.BASIC: (None,),
-    EnvVariant.ADVANCED: MODE_ORDER,
+    EnvVariant.ADVANCED: tuple(SortingMode),
 }
 # Every action of a variant, speed-major; an action's index is its position.
 ACTIONS = {v: tuple(Action(s, m) for s in SPEED_INDICES for m in MODES[v]) for v in EnvVariant}
@@ -132,10 +124,6 @@ def action_from_index(index: int, variant: EnvVariant) -> Action:
     if not 0 <= index < len(ACTIONS[variant]):
         raise ValueError(f"action index out of range: {index}")
     return ACTIONS[variant][index]
-
-
-def all_actions(variant: EnvVariant) -> tuple[Action, ...]:
-    return ACTIONS[variant]
 
 
 class Observation(NamedTuple):
@@ -168,7 +156,3 @@ class StorageTally:
     @property
     def total(self) -> float:
         return self.a_true + self.a_false + self.b_true + self.b_false
-
-    @property
-    def true_total(self) -> float:
-        return self.a_true + self.b_true

@@ -23,7 +23,7 @@ from sortline.agents import (
 )
 from sortline.config import ConfigError, EnvConfig
 from sortline.env import StepResult
-from sortline.types import Action, EnvVariant, Observation, SortingMode, all_actions
+from sortline.types import ACTIONS, Action, EnvVariant, Observation, SortingMode
 
 
 def outcome(next_total: float, reward: float, done: bool = False) -> StepResult:
@@ -129,10 +129,31 @@ class TestRandomAgent:
     def test_actions_are_valid_and_seeded(self):
         a = RandomAgent(EnvVariant.ADVANCED, seed=3)
         b = RandomAgent(EnvVariant.ADVANCED, seed=3)
-        legal = set(all_actions(EnvVariant.ADVANCED))
+        legal = set(ACTIONS[EnvVariant.ADVANCED])
         picks = [a.act(Observation(0.5)) for _ in range(50)]
         assert all(p in legal for p in picks)
         assert picks == [b.act(Observation(0.5)) for _ in range(50)]
+
+    def test_first_draws_are_pinned(self):
+        # (speed, mode) of the first 20 actions for seed 3, recorded from the
+        # randrange-and-index implementation that choice() replaced.
+        expected = {
+            EnvVariant.BASIC: [
+                (2, None), (6, None), (2, None), (9, None), (7, None), (6, None), (3, None),
+                (2, None), (1, None), (1, None), (5, None), (4, None), (1, None), (10, None),
+                (7, None), (10, None), (9, None), (1, None), (10, None), (8, None),
+            ],
+            EnvVariant.ADVANCED: [
+                (2, "basic"), (4, "positive"), (2, "basic"), (6, "positive"), (5, "basic"),
+                (10, "basic"), (4, "positive"), (2, "negative"), (8, "negative"), (2, "basic"),
+                (1, "positive"), (1, "positive"), (3, "negative"), (3, "basic"), (1, "positive"),
+                (7, "positive"), (5, "positive"), (7, "basic"), (6, "positive"), (1, "positive"),
+            ],
+        }
+        for variant, pinned in expected.items():
+            agent = RandomAgent(variant, seed=3)
+            actions = [agent.act(Observation(0.5)) for _ in range(20)]
+            assert [(a.speed_index, a.mode and a.mode.value) for a in actions] == pinned
 
 
 class TestQLearningAgent:
@@ -173,7 +194,7 @@ class TestQLearningAgent:
         agent.learning = True
         agent._planned_steps = 10_000  # no notify, so epsilon stays at EPSILON_START
         picks = {agent.act(Observation(0.2)) for _ in range(400)}
-        assert picks == set(all_actions(EnvVariant.BASIC))
+        assert picks == set(ACTIONS[EnvVariant.BASIC])
 
     def test_advanced_observation_needs_a_category(self):
         agent = QLearningAgent(EnvVariant.ADVANCED)

@@ -274,7 +274,7 @@ class TestBenchmark:
     def test_record_grid_and_determinism(self):
         report = self.tiny_report()
         assert [(r.setup, r.agent) for r in report.records] == [
-            (s, a) for s in "ABCD" for a in ("rba", "qtable")
+            (s, a) for s in "ABCD" for a in ("rba", "qtable", "random")
         ]
         assert all(r.seeds == 3 for r in report.records)
         assert report.records == self.tiny_report().records
@@ -296,10 +296,10 @@ class TestBenchmark:
     def test_report_serialization(self):
         report = self.tiny_report()
         lines = report.to_records_text().splitlines()
-        assert len(lines) == 8
+        assert len(lines) == 12
         parsed = [json.loads(line) for line in lines]
         assert parsed[0]["setup"] == "A" and parsed[0]["agent"] == "rba"
         assert {"mean_reward", "std_reward", "mean_speed", "mean_purity"} <= parsed[0].keys()
         table = report.format_table().splitlines()
-        assert len(table) == 10  # header, rule, eight records
+        assert len(table) == 14  # header, rule, twelve records
         assert table[0].split() == ["setup", "agent", "reward", "std", "speed", "purity"]

@@ -126,6 +126,15 @@ class TestBenchmark:
         assert run_cli("benchmark", "--agents", "rba,flying") == 1
         assert "unknown agents: flying" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("agents", ["", ",", " , "])
+    def test_an_empty_agent_list_fails_cleanly(self, capsys, agents):
+        assert run_cli("benchmark", "--agents", agents) == 1
+        assert capsys.readouterr().err.startswith("error: --agents names no agent")
+
+    def test_a_repeated_agent_fails_cleanly(self, capsys):
+        assert run_cli("benchmark", "--agents", "rba,random,rba") == 1
+        assert capsys.readouterr().err.startswith("error: benchmark agents must be distinct")
+
 
 @pytest.mark.parametrize("command", ["train", "benchmark"])
 @pytest.mark.parametrize("flag", ["--train-steps", "--episode-steps"])
@@ -204,3 +213,9 @@ class TestServe:
             finally:
                 if proc.poll() is None:
                     proc.kill()
+
+    # In-process: bind() fails before serve installs its signal handlers.
+    @pytest.mark.parametrize("port", [70000, -1])
+    def test_a_port_out_of_range_fails_cleanly(self, capsys, port):
+        assert run_cli("serve", "--port", port) == 1
+        assert capsys.readouterr().err.startswith("error: bind(): port must be 0-65535")

@@ -1,5 +1,6 @@
 """Environment semantics: pipeline order, rewards, conservation, determinism."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -8,15 +9,20 @@ import pytest
 from sortline.config import ConfigError, EnvConfig
 from sortline.env import EpisodeDoneError, SortingLineEnv, apply_observation_noise
 from sortline.rng import OBSERVATION_STREAM, make_stream
-from sortline.sorting import classify_ratio, deterministic_accuracy, occupancy, step_reward
+from sortline.sorting import classify_ratio, deterministic_accuracy, occupancy, purity, step_reward
 from sortline.types import (
+    EMPTY_MIX,
+    SPEED_INDICES,
+    STAGE_CAPACITY,
     Action,
     EnvVariant,
     InputType,
     MaterialMix,
     SortingMode,
+    StorageTally,
     action_count,
     action_from_index,
+    speed_fraction,
 )
 
 NOISELESS = EnvConfig(base_noise_range=(0.0, 0.0))
@@ -32,10 +38,10 @@ class TestReset:
         env = SortingLineEnv(EnvConfig())
         obs = env.reset(seed=42)
         state = env.state
-        assert state.belt.is_empty and state.machine.is_empty
+        assert state.belt == EMPTY_MIX and state.machine == EMPTY_MIX
         assert state.storage.total == 0.0
         assert state.step_count == 0
-        assert not state.input.is_empty
+        assert state.input != EMPTY_MIX
         assert obs.input_total == state.input.total / 100.0  # zero obs noise
         assert obs.ratio_category is None
 
@@ -294,3 +300,52 @@ class TestConservationAndDeterminism:
         a = env.reset(seed=1)
         b = env.reset(seed=2)
         assert a != b
+
+
+def test_inlined_copies_match_the_helpers_they_name():
+    """The step path spells out a few helpers inline; each copy must agree
+    with its helper bit for bit."""
+    quantities = (0.0, 1e-9, 0.1, 1 / 3, 12.5, 40.0, 49.99999, 50.0, 66.7, 99.9999999, 100.0)
+    got, want = [], []
+
+    # occupancy: mix.total / STAGE_CAPACITY, capped at 1.
+    for a, b in itertools.product(quantities, repeat=2):
+        if a + b <= STAGE_CAPACITY + 1e-6:
+            mix = MaterialMix(a, b)
+            got.append(occupancy(mix))
+            want.append(min(mix.total / STAGE_CAPACITY, 1.0))
+
+    # deterministic_accuracy: config.limit_for_speed(speed).
+    limits = (1.0, 0.95, 0.8, 0.8, 0.61, 0.5, 0.33, 0.2, 0.1, 0.0)
+    configs = (EnvConfig(), EnvConfig(abatement=7.25, occupancy_limits=limits))
+    for config, speed, k in itertools.product(configs, SPEED_INDICES, range(101)):
+        occ = k / 100.0
+        limit = config.limit_for_speed(speed)
+        got.append(deterministic_accuracy(speed, occ, config))
+        want.append(1.0 if occ <= limit else min(max(1.0 - (occ - limit) * config.abatement, 0.0), 1.0))
+
+    # purity: tally.total in the denominator.
+    for fields in itertools.product((0.0, 1e-9, 0.25, 1 / 3, 40.0, 99.5), repeat=4):
+        tally = StorageTally(*fields)
+        got.append(purity(tally))
+        want.append(1.0 if tally.total == 0.0 else (tally.a_true + tally.b_true) / tally.total)
+
+    # step_reward's speed term: speed_fraction(speed).
+    config = EnvConfig(threshold=0.65, r_acc=0.4, r_speed=0.75, action_penalty=0.5)
+    for speed, k, changed in itertools.product(SPEED_INDICES, range(66, 101), (False, True)):
+        alpha = k / 100.0
+        accuracy_term = config.r_acc * (alpha - config.threshold) / (1.0 - config.threshold)
+        speed_term = config.r_speed * (speed_fraction(speed) - 0.1) / 0.9
+        got.append(step_reward(alpha, speed, config, changed))
+        want.append(accuracy_term + speed_term - (config.action_penalty if changed else 0.0))
+
+    # info["speed"]: speed_fraction(speed).
+    for variant in EnvVariant:
+        mode = SortingMode.BASIC if variant is EnvVariant.ADVANCED else None
+        env = SortingLineEnv(EnvConfig(variant=variant, episode_length=len(SPEED_INDICES)))
+        env.reset(seed=4)
+        for speed in SPEED_INDICES:
+            got.append(env.step(Action(speed, mode)).info["speed"])
+            want.append(speed_fraction(speed))
+
+    assert [x.hex() for x in got] == [y.hex() for y in want]

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from sortline.types import (
+    ACTIONS,
+    EMPTY_MIX,
     Action,
     EnvVariant,
     MaterialMix,
@@ -13,7 +15,6 @@ from sortline.types import (
     StorageTally,
     action_count,
     action_from_index,
-    all_actions,
     speed_fraction,
     validate_action,
 )
@@ -24,8 +25,8 @@ class TestMaterialMix:
         assert MaterialMix(30.0, 20.0).total == 50.0
 
     def test_empty(self):
-        assert MaterialMix(0.0, 0.0).is_empty
-        assert not MaterialMix(0.0, 0.1).is_empty
+        assert MaterialMix(0.0, 0.0) == EMPTY_MIX
+        assert MaterialMix(0.0, 0.1) != EMPTY_MIX
 
     def test_rejects_negative_quantities(self):
         with pytest.raises(ValueError):
@@ -73,14 +74,14 @@ class TestActionSpace:
 
     @pytest.mark.parametrize("variant", list(EnvVariant))
     def test_index_round_trip(self, variant):
-        actions = all_actions(variant)
+        actions = ACTIONS[variant]
         assert len(actions) == action_count(variant)
         assert len(set(actions)) == len(actions)
         for i, action in enumerate(actions):
             assert action_from_index(i, variant) == action
 
     def test_lower_speeds_come_first(self):
-        speeds = [a.speed_index for a in all_actions(EnvVariant.ADVANCED)]
+        speeds = [a.speed_index for a in ACTIONS[EnvVariant.ADVANCED]]
         assert speeds == sorted(speeds)
 
     def test_validation(self):
@@ -113,4 +114,3 @@ def test_storage_tally_accumulates():
     tally.add(StorageTally(a_true=1.0))
     assert tally.a_true == 41.0
     assert tally.total == 101.0
-    assert tally.true_total == 81.0
