@@ -285,6 +285,8 @@ def run_benchmark(
         raise ConfigError("benchmark seeds must be distinct")
     if not ordered_seeds:
         raise ConfigError("benchmark needs at least one seed")
+    if steps < 1:
+        raise ConfigError(f"evaluation episode length must be at least 1 step, got {steps}")
     report = BenchmarkReport()
     for setup_name, config in setups.items():
         for agent_name, factory in agent_factories.items():

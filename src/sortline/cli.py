@@ -20,15 +20,15 @@ from .server import serve
 from .sorting import deterministic_accuracy, step_reward
 from .types import SPEED_INDICES, EnvVariant, InputType, speed_fraction
 
-# Flags that override one config field each: their argparse options, with the
-# field as ``dest``.  A command registers only the flags that change its output.
+# Flags that override one config field each, named by ``dest``; their string values are
+# parsed like a config file's.  A command registers only the flags that change its output.
 CONFIG_FLAGS = {
     "--env": dict(dest="variant", choices=[v.value for v in EnvVariant], help="environment variant"),
-    "--seed": dict(dest="seed", type=int, help="root seed"),
+    "--seed": dict(dest="seed", help="root seed"),
     "--input": dict(dest="input_type", choices=[t.value for t in InputType], help="input generator"),
-    "--noise": dict(dest="obs_noise_level", type=float, metavar="LEVEL", help="observation noise level"),
-    "--penalty": dict(dest="action_penalty", type=float, metavar="PENALTY", help="speed-change penalty"),
-    "--steps": dict(dest="episode_length", type=int, metavar="STEPS", help="episode length"),
+    "--noise": dict(dest="obs_noise_level", metavar="LEVEL", help="observation noise level"),
+    "--penalty": dict(dest="action_penalty", metavar="PENALTY", help="speed-change penalty"),
+    "--steps": dict(dest="episode_length", metavar="STEPS", help="episode length"),
 }
 
 

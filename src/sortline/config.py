@@ -40,15 +40,16 @@ class EnvConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Frozen, so object.__setattr__; writing to self.__dict__ would be
+        # quicker here but slows every later attribute read.
+        for name, default in _DEFAULTS.items():
+            object.__setattr__(self, name, _canonical(name, default, getattr(self, name)))
         self.validate()
 
     def validate(self) -> None:
+        """Check the ranges of the canonical values ``__post_init__`` stored."""
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
-        for name in ("episode_length", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.episode_length < 1:
             raise ConfigError(f"episode_length must be positive, got {self.episode_length}")
         for name in ("obs_noise_level", "action_penalty", "abatement", "r_acc", "r_speed"):
@@ -62,8 +63,6 @@ class EnvConfig:
             if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):
                 raise ConfigError(f"{name} must be finite with 0 <= lo <= hi, got ({lo}, {hi})")
         limits = self.occupancy_limits
-        if len(limits) != len(SPEED_INDICES):
-            raise ConfigError(f"occupancy_limits needs {len(SPEED_INDICES)} entries, got {len(limits)}")
         if any(not 0.0 <= x <= 1.0 for x in limits):
             raise ConfigError(f"occupancy_limits must lie in [0, 1], got {limits}")
         if any(limits[i] < limits[i + 1] for i in range(len(limits) - 1)):
@@ -75,22 +74,17 @@ class EnvConfig:
     def digest(self) -> str:
         """Short stable hash of every field, for tagging traces and reports.
 
-        A number is normalised to the type of its field's default where that
-        is exact, as ``config_from_mapping`` parses it, and ``-0.0`` to
-        ``0.0``, so equal configs (``r_acc=1`` and ``r_acc=1.0``,
-        ``obs_noise_level=-0.0`` and ``0.0``) share a digest.  Adding ``0``
-        does the latter and leaves every other number as it is."""
+        Construction stores each value in one canonical form, so equal configs
+        (``r_acc=1`` and ``r_acc=1.0``, ``obs_noise_level=-0.0`` and ``0.0``)
+        share a digest."""
         parts = []
-        for field in fields(self):
-            value = getattr(self, field.name)
-            kind = type(_DEFAULTS[field.name])
-            if issubclass(kind, Enum):
+        for name in _DEFAULTS:
+            value = getattr(self, name)
+            if isinstance(value, Enum):
                 value = value.value
-            elif kind is tuple:
-                value = ",".join(repr(float(x) + 0) for x in value)
-            elif value == kind(value):
-                value = kind(value) + 0
-            parts.append(f"{field.name}={value!r}")
+            elif isinstance(value, tuple):
+                value = ",".join(map(repr, value))
+            parts.append(f"{name}={value!r}")
         blob = ";".join(parts).encode("ascii")
         return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -98,54 +92,57 @@ class EnvConfig:
 _DEFAULTS = {field.name: field.default for field in fields(EnvConfig)}
 
 
-def _parse_scalar(raw: Any, kind: type) -> Any:
-    """``kind(raw)``, refusing booleans and the non-integral numbers int() would truncate."""
-    if isinstance(raw, bool) or (kind is int and isinstance(raw, float) and not raw.is_integer()):
-        raise ValueError
-    return kind(raw)
-
-
-def _parse_range(value: Any, name: str, size: int) -> tuple[float, ...]:
-    if isinstance(value, str):
-        items = [part for part in value.replace(",", " ").split() if part]
-    elif isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        raise ConfigError(f"{name} expects {size} numbers, got {value!r}")
+def _canonical(name: str, default: Any, value: Any) -> Any:
+    """``value`` in the form of ``default``: the same enum's member, a tuple of
+    as many floats, an int from an integral number, or a float from an int or
+    float with ``-0.0`` as ``0.0``.  Types are matched exactly, so a bool is no
+    number.  Any other value is a ``ConfigError`` naming the field."""
+    kind = type(default)
     try:
-        parsed = tuple(_parse_scalar(x, float) for x in items)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} contains a non-numeric entry: {value!r}") from None
-    if len(parsed) != size:
-        raise ConfigError(f"{name} expects {size} numbers, got {len(parsed)}")
-    return parsed
+        if kind is tuple:
+            if type(value) in (tuple, list) and len(value) == len(default):
+                floats = tuple([x + 0.0 for x in value if type(x) in (float, int)])
+                if len(floats) == len(default):
+                    return floats
+        elif kind is float:
+            if type(value) in (float, int):
+                return value + 0.0  # adding 0.0 turns -0.0 into 0.0
+        elif type(value) is kind:  # an enum member, or an int
+            return value
+        elif kind is int and type(value) is float and value.is_integer():
+            return int(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ConfigError(f"bad value for {name!r}: {value!r}")
+
+
+def _parse(default: Any, text: str) -> Any:
+    """A config-file string as the kind of ``default`` takes it."""
+    if isinstance(default, Enum):
+        return type(default)(text.lower())
+    if isinstance(default, tuple):
+        return [float(part) for part in text.replace(",", " ").split()]
+    return type(default)(text)
 
 
 def config_from_mapping(mapping: Mapping[str, Any], base: EnvConfig | None = None) -> EnvConfig:
     """Build a config from field-name keys, starting from ``base`` (or defaults).
 
-    Accepts both typed values (e.g. from a decoded wire message) and the string
-    forms used in config files.  Each value is parsed by the kind of its
-    field's default: an enum member or name, a tuple of that many numbers, or
-    one int or float.  Unknown keys are rejected.
+    Keys are matched verbatim; unknown keys are rejected.  A string value is
+    parsed by the kind of its field's default: an enum name in any case, a
+    number, or a list of numbers split on commas and spaces.  Every other
+    value (e.g. from a decoded wire message) goes to ``EnvConfig`` as it is.
     """
     updates: dict[str, Any] = {}
-    for key, raw in mapping.items():
-        name = key.strip()
+    for name, raw in mapping.items():
         if name not in _DEFAULTS:
             raise ConfigError(f"unknown config key {name!r}")
-        kind = type(_DEFAULTS[name])
-        try:
-            if issubclass(kind, Enum):
-                updates[name] = raw if isinstance(raw, kind) else kind(str(raw).lower())
-            elif kind is tuple:
-                updates[name] = _parse_range(raw, name, len(_DEFAULTS[name]))
-            else:
-                updates[name] = _parse_scalar(raw, kind)
-        except ConfigError:
-            raise
-        except (OverflowError, TypeError, ValueError):
-            raise ConfigError(f"bad value for {name!r}: {raw!r}") from None
+        if isinstance(raw, str):
+            try:
+                raw = _parse(_DEFAULTS[name], raw)
+            except ValueError:
+                raise ConfigError(f"bad value for {name!r}: {raw!r}") from None
+        updates[name] = raw
     return replace(base if base is not None else EnvConfig(), **updates)
 
 

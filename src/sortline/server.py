@@ -10,8 +10,8 @@ Requests:
     {"type": "step", "action": {"speed": 5, "mode": "positive"}}
     {"type": "close"}
 
-``seed`` and ``config`` are optional on reset; config keys mirror the
-EnvConfig fields, and ``seed`` is one more config override that wins over
+``seed`` and ``config`` are optional on reset; config keys are EnvConfig field
+names, matched verbatim, and ``seed`` is one more override that wins over
 ``config.seed``.  ``mode`` is required exactly when the variant is advanced.
 
 Responses:
@@ -117,14 +117,10 @@ class Session:
         overrides = request.get("config")
         if overrides is not None and not isinstance(overrides, dict):
             return _error("BAD_CONFIG", "config must be an object")
-        overrides = dict(overrides or {})
         if request.get("seed") is not None:
-            # config_from_mapping applies keys in order: the top-level seed goes
-            # last, so it wins over config.seed.
-            overrides.pop("seed", None)
-            overrides["seed"] = request["seed"]
+            overrides = {**(overrides or {}), "seed": request["seed"]}
         try:
-            config = config_from_mapping(overrides, base=self.base_config)
+            config = config_from_mapping(overrides or {}, base=self.base_config)
             env = SortingLineEnv(config)
             obs = env.reset()
         except ConfigError as exc:

@@ -287,6 +287,14 @@ class TestBenchmark:
         with pytest.raises(ConfigError):
             run_benchmark(setups, factories, seeds=[], steps=5)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_episode_length_is_checked_before_training(self, steps):
+        def untrainable(config, seed):
+            raise AssertionError("trained before the arguments were checked")
+
+        with pytest.raises(ConfigError, match="^evaluation episode length"):
+            run_benchmark(standard_setups(EnvVariant.BASIC), {"qtable": untrainable}, seeds=[1], steps=steps)
+
     def test_single_seed_has_zero_spread(self):
         setups = standard_setups(EnvVariant.BASIC)
         factories = {"rba": lambda config, seed: RuleBasedAgent(config)}

@@ -181,6 +181,13 @@ class TestConfigPlumbing:
         assert run_cli("simulate", "--config", tmp_path / "nope.cfg", "--out", out) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "abc"), ("--steps", "2.5"), ("--noise", "loud")])
+    def test_bad_flag_values_are_one_error_line(self, tmp_path, capsys, flag, value):
+        # Flag values are parsed like config-file values, not by argparse.
+        assert run_cli("simulate", flag, value, "--out", tmp_path / "trace.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value for") and err.count("\n") == 1
+
     def test_bad_flags_exit_with_usage_error(self):
         for command, flags in (
             ("simulate", ["--bogus"]),

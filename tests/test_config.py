@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from sortline.bench import standard_setups
 from sortline.config import (
     DEFAULT_OCCUPANCY_LIMITS,
     ConfigError,
@@ -94,6 +95,42 @@ class TestDigest:
         assert len(digest) == 12
         int(digest, 16)
 
+    # Traces and reports are tagged with these; a change of the hashed text shows here.
+    PINNED = {
+        ("basic", "A"): "bc3c53584cfe",
+        ("basic", "B"): "b74c6402cb7c",
+        ("basic", "C"): "cc29cd20a919",
+        ("basic", "D"): "10e46a5e0b65",
+        ("advanced", "A"): "075b38f9e94f",
+        ("advanced", "B"): "916cba5314b1",
+        ("advanced", "C"): "56abf6b39dcc",
+        ("advanced", "D"): "515a4f335b97",
+    }
+
+    def test_standard_cells_are_pinned(self):
+        digests = {
+            (variant.value, name): config.digest()
+            for variant in EnvVariant
+            for name, config in standard_setups(variant).items()
+        }
+        assert digests == self.PINNED
+
+    def test_normalised_and_parsed_configs_are_pinned(self):
+        assert EnvConfig(r_acc=1).digest() == "5dbb31b8565e"
+        assert EnvConfig(obs_noise_level=-0.0).digest() == "bc3c53584cfe"
+        assert EnvConfig(seed=2**70).digest() == "87d439769b62"
+        parsed = config_from_mapping(
+            {
+                "variant": "ADVANCED",
+                "input_type": "seasonal",
+                "obs_noise_level": "0.3",
+                "episode_length": "250",
+                "seed": "42",
+                "base_noise_range": "0.1, 0.2",
+            }
+        )
+        assert parsed.digest() == "aabcecfc6104"
+
 
 class TestFromMapping:
     def test_string_values(self):
@@ -132,6 +169,11 @@ class TestFromMapping:
         with pytest.raises(ConfigError):
             config_from_mapping({"velocity": 1})
 
+    def test_keys_are_matched_verbatim(self):
+        # Folding " seed" into "seed" would let the last spelling win silently.
+        with pytest.raises(ConfigError, match="unknown config key ' seed'"):
+            config_from_mapping({"seed": 1, " seed": 2})
+
     def test_bad_value(self):
         for mapping in (
             {"threshold": "fast"},
@@ -154,6 +196,45 @@ class TestFromMapping:
 def test_construction_validates():
     with pytest.raises(ConfigError):
         EnvConfig(threshold=2.0)
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"input_type": "random"},
+            {"variant": "advanced"},
+            {"variant": InputType.RANDOM},
+            {"obs_noise_level": True},
+            {"r_acc": "x"},
+            {"r_acc": 2**1100},
+            {"seed": 2.5},
+            {"base_noise_range": (0.1,)},
+            {"base_noise_range": (0.1, "0.2")},
+            {"base_noise_range": "0.1, 0.2"},
+        ],
+    )
+    def test_construction_refuses_other_forms(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ConfigError, match=f"^bad value for '{name}'"):
+            EnvConfig(**overrides)
+
+    def test_a_list_is_stored_as_a_tuple(self):
+        config = EnvConfig(base_noise_range=[0.1, 0.15])
+        assert config.base_noise_range == (0.1, 0.15) and type(config.base_noise_range) is tuple
+        assert config == EnvConfig()
+        assert hash(config) == hash(EnvConfig())
+
+    def test_numbers_take_the_type_of_their_default(self):
+        config = EnvConfig(r_acc=1, episode_length=40.0, occupancy_limits=(1,) * 10)
+        assert config.r_acc == 1.0 and type(config.r_acc) is float
+        assert config.episode_length == 40 and type(config.episode_length) is int
+        assert all(type(x) is float for x in config.occupancy_limits)
+
+    def test_negative_zero_is_stored_as_zero(self):
+        config = EnvConfig(obs_noise_level=-0.0, correct_mode_noise_range=(-0.0, 0.05))
+        assert math.copysign(1.0, config.obs_noise_level) == 1.0
+        assert math.copysign(1.0, config.correct_mode_noise_range[0]) == 1.0
 
 
 class TestConfigFile:

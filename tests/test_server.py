@@ -65,6 +65,17 @@ class TestSession:
 
         assert replies(request_payload) == replies({"type": "reset", "config": {"seed": 250}})
 
+    def test_an_integral_float_sets_an_integer_field(self):
+        session = Session(EnvConfig())
+        response, _ = session.handle({"type": "reset", "config": {"episode_length": 250.0}})
+        assert response["type"] == "state"
+        assert session.handle({"type": "hello"})[0]["episode_length"] == 250
+
+    def test_config_keys_are_matched_verbatim(self):
+        response, _ = Session(EnvConfig()).handle({"type": "reset", "config": {"seed": 1, " seed": 2}})
+        assert response["code"] == "BAD_CONFIG"
+        assert "' seed'" in response["message"]
+
     def test_null_config_means_no_overrides(self):
         response, _ = Session(EnvConfig()).handle({"type": "reset", "seed": 42, "config": None})
         assert response == Session(EnvConfig()).handle({"type": "reset", "seed": 42})[0]
