@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .agents import Agent, QLearningAgent, RandomAgent, RuleBasedAgent
-from .config import ConfigError, EnvConfig
+from .config import _DEFAULTS, ConfigError, EnvConfig, _canonical
 from .env import SortingLineEnv
 from .rng import stream_seed
 from .types import SPEED_INDICES, EnvVariant, InputType, SortingMode, speed_fraction
@@ -46,10 +46,23 @@ TRACE_SPEEDS = frozenset(speed_fraction(k) for k in SPEED_INDICES)
 
 @dataclass(slots=True)
 class EpisodeTrace:
+    """The rows of one episode, tagged with the run that recorded them.
+
+    ``config`` is the config the episode ran with, apart from ``seed``, which
+    replaced its root seed.  A loaded trace carries no tags.
+    """
+
     rows: list[TraceRow]
-    config_digest: str | None = None
+    config: EnvConfig | None = None
     seed: int | None = None
     agent_name: str | None = None
+
+    @property
+    def config_digest(self) -> str | None:
+        """Digest of the run's config with its seed, computed when read."""
+        if self.config is None:
+            return None
+        return replace(self.config, seed=self.seed).digest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,37 +101,37 @@ def run_episode(
     """Drive one full episode and record every step.
 
     ``steps`` and ``seed`` override the config's episode length and root seed.
+    They are checked as those config fields are, but the config is rebuilt
+    only for a different length: the env resets by seed.
     """
     if agent.variant is not config.variant:
         raise ConfigError(
             f"agent variant {agent.variant.value} does not match config {config.variant.value}"
         )
-    run_config = replace(
-        config,
-        episode_length=config.episode_length if steps is None else steps,
-        seed=config.seed if seed is None else seed,
+    # Checked in field order, as construction checks them.
+    length = config.episode_length if steps is None else _canonical(
+        "episode_length", _DEFAULTS["episode_length"], steps
     )
-    env = SortingLineEnv(run_config)
-    obs = env.reset()
+    seed = config.seed if seed is None else _canonical("seed", _DEFAULTS["seed"], seed)
+    if length != config.episode_length:
+        config = replace(config, episode_length=length)  # checks length >= 1
+    env = SortingLineEnv(config)
+    obs = env.reset(seed)
+    make_row = TraceRow._make
     rows: list[TraceRow] = []
     cum_reward = 0.0
-    for step in range(1, run_config.episode_length + 1):
+    for step in range(1, config.episode_length + 1):
         action = agent.act(obs)
         result = env.step(action)
         agent.notify(result)
         cum_reward += result.reward
         info = result.info
-        rows.append(TraceRow(
+        rows.append(make_row((
             step, info["speed"], action.mode or SortingMode.BASIC, info["occupancy"], info["accuracy"],
             result.reward, cum_reward, info["purity"],
-        ))
+        )))
         obs = result.observation
-    trace = EpisodeTrace(
-        rows,
-        config_digest=run_config.digest(),
-        seed=run_config.seed,
-        agent_name=agent.name,
-    )
+    trace = EpisodeTrace(rows, config, seed, agent.name)
     return trace, summarize(trace)
 
 
@@ -153,10 +166,15 @@ def export_trace(trace: EpisodeTrace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> EpisodeTrace:
-    lines = Path(path).read_text().splitlines()
+    """Read a file ``export_trace`` wrote; the trace carries no tags."""
+    try:
+        lines = Path(path).read_bytes().decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path} is not an ASCII trace file") from None
     if not lines or lines[0] + "\n" != _HEADER:
         raise ValueError(f"{path} is not a trace file")
     isfinite = math.isfinite
+    make_row = TraceRow._make
     rows = []
     for position, line in enumerate(lines[1:], start=1):
         try:
@@ -182,7 +200,7 @@ def load_trace(path: str | Path) -> EpisodeTrace:
             raise ValueError(f"{path}: speed off the tenths grid in row {line!r}")
         if not (0.0 <= occupancy <= 1.0 and 0.0 <= accuracy <= 1.0 and 0.0 <= purity <= 1.0):
             raise ValueError(f"{path}: occupancy, accuracy or purity outside [0, 1] in row {line!r}")
-        rows.append(TraceRow(step, speed, mode, occupancy, accuracy, reward, cum_reward, purity))
+        rows.append(make_row((step, speed, mode, occupancy, accuracy, reward, cum_reward, purity)))
     return EpisodeTrace(rows)
 
 

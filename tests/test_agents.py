@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,13 @@ class TestExpectedReward:
             ZERO_NOISE_ADV, 0.2, Action(8, SortingMode.NEGATIVE), SortingMode.POSITIVE
         )
         assert right > wrong
+
+    def test_ties_go_to_the_lowest_speed_and_first_mode(self):
+        # With both weights zero every action above the threshold earns 0.0.
+        basic = EnvConfig(r_acc=0.0, r_speed=0.0)
+        advanced = replace(basic, variant=EnvVariant.ADVANCED)
+        assert best_action(basic, 0.05) == Action(1)
+        assert best_action(advanced, 0.05, SortingMode.BASIC) == Action(1, SortingMode.BASIC)
 
     def test_follows_the_sorting_model_mode_constants(self, monkeypatch):
         config = EnvConfig(variant=EnvVariant.ADVANCED)  # noise means 0.025 and 0.125
@@ -155,6 +163,18 @@ class TestRandomAgent:
             actions = [agent.act(Observation(0.5)) for _ in range(20)]
             assert [(a.speed_index, a.mode and a.mode.value) for a in actions] == pinned
 
+    @pytest.mark.parametrize("variant, pinned", [
+        (EnvVariant.BASIC, [(1, None), (3, None), (3, None), (1, None), (2, None),
+                            (1, None), (6, None), (3, None), (3, None), (6, None)]),
+        (EnvVariant.ADVANCED, [(1, "basic"), (2, "positive"), (2, "negative"), (7, "negative"),
+                               (1, "positive"), (10, "negative"), (1, "negative"), (10, "basic"),
+                               (7, "negative"), (1, "positive")]),
+    ])
+    def test_default_seed_is_pinned(self, variant, pinned):
+        agent = RandomAgent(variant)
+        actions = [agent.act(Observation(0.5)) for _ in range(10)]
+        assert [(a.speed_index, a.mode and a.mode.value) for a in actions] == pinned
+
 
 class TestQLearningAgent:
     def test_state_space_sizes(self):
@@ -195,6 +215,21 @@ class TestQLearningAgent:
         agent._planned_steps = 10_000  # no notify, so epsilon stays at EPSILON_START
         picks = {agent.act(Observation(0.2)) for _ in range(400)}
         assert picks == set(ACTIONS[EnvVariant.BASIC])
+
+    @pytest.mark.parametrize("variant, pinned", [
+        (EnvVariant.BASIC, [(3, None), (2, None), (1, None), (3, None), (1, None),
+                            (4, None), (7, None), (3, None), (9, None), (9, None)]),
+        (EnvVariant.ADVANCED, [(2, "negative"), (10, "negative"), (7, "negative"), (9, "basic"),
+                               (2, "negative"), (3, "negative"), (8, "basic"), (7, "negative"),
+                               (10, "basic"), (10, "basic")]),
+    ])
+    def test_default_seed_is_pinned(self, variant, pinned):
+        agent = QLearningAgent(variant)
+        agent.learning = True
+        agent._planned_steps = 10_000  # no notify, so epsilon stays at EPSILON_START
+        category = SortingMode.BASIC if variant is EnvVariant.ADVANCED else None
+        actions = [agent.act(Observation(0.5, category)) for _ in range(10)]
+        assert [(a.speed_index, a.mode and a.mode.value) for a in actions] == pinned
 
     def test_advanced_observation_needs_a_category(self):
         agent = QLearningAgent(EnvVariant.ADVANCED)
@@ -273,6 +308,13 @@ class TestQLearningAgent:
         with pytest.raises(ValueError):
             QLearningAgent(EnvVariant.BASIC, discount=discount)
 
+    @pytest.mark.parametrize("discount", [0.0, 1.0])
+    def test_discount_bounds_are_accepted(self, discount):
+        agent = QLearningAgent(EnvVariant.BASIC, discount=discount, seed=2)
+        agent.train(EnvConfig(), episodes=1, steps_per_episode=30)
+        assert agent.discount == discount
+        assert agent.visits.sum() == 30 and np.isfinite(agent.values).all()
+
     def test_training_visits_realistic_occupancies(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=17)
         agent.train(EnvConfig(), episodes=20, steps_per_episode=50)
@@ -302,6 +344,15 @@ class TestQTableFiles:
         path = tmp_path / "bad.qt"
         path.write_text("not-a-qtable 1\nbasic\n20 10\n")
         with pytest.raises(ValueError):
+            QLearningAgent.load(path)
+
+    def test_a_wrong_magic_is_refused_alone(self, tmp_path):
+        path = tmp_path / "foreign.qt"
+        QLearningAgent(EnvVariant.BASIC).save(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "sortline-qtable 1"
+        path.write_text("\n".join(["other-qtable 1", *lines[1:]]) + "\n")
+        with pytest.raises(ValueError, match="is not a recognized table file"):
             QLearningAgent.load(path)
 
     def test_shape_is_validated(self, tmp_path):

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,54 @@ class TestRunEpisode:
         assert trace.seed == 123
         assert trace.agent_name == "constant"
         assert trace.config_digest is not None
+
+    # (overrides, trace.seed, trace.config_digest) on the default config; the
+    # override is stored in its config-field form.
+    @pytest.mark.parametrize("overrides, seed, digest", [
+        ({}, 0, "bc3c53584cfe"),
+        ({"seed": 3.0}, 3, "8ae20ed00ded"),
+        ({"seed": 2**70}, 2**70, "87d439769b62"),
+        ({"seed": -1}, -1, "51f1352225b2"),
+        ({"steps": 7}, 0, "a92bad8a58a9"),
+        ({"steps": 50.0}, 0, "bc3c53584cfe"),
+    ])
+    def test_overrides_tag_the_trace(self, overrides, seed, digest):
+        config = EnvConfig()
+        trace, _ = run_episode(config, RuleBasedAgent(config), **overrides)
+        assert type(trace.seed) is int and trace.seed == seed
+        assert trace.config_digest == digest
+        assert len(trace.rows) == overrides.get("steps", 50)
+
+    @pytest.mark.parametrize("length, overrides, message", [
+        (50, {"seed": True}, "bad value for 'seed': True"),
+        (50, {"seed": "3"}, "bad value for 'seed': '3'"),
+        (1, {"steps": True}, "bad value for 'episode_length': True"),
+        (50, {"steps": 0}, "episode_length must be positive, got 0"),
+        (50, {"steps": 50.5}, "bad value for 'episode_length': 50.5"),
+        (50, {"steps": 0, "seed": "3"}, "bad value for 'seed': '3'"),
+    ])
+    def test_overrides_are_checked_as_config_fields(self, length, overrides, message):
+        config = EnvConfig(episode_length=length)
+        agent = ConstantAgent()
+        agent.act = lambda obs: pytest.fail("stepped before the overrides were checked")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_episode(config, agent, **overrides)
+
+    def test_a_full_length_episode_builds_and_digests_no_config(self, monkeypatch):
+        config = EnvConfig()
+        agent = RuleBasedAgent(config)
+        expected = replace(config, seed=5).digest()
+        calls = {"__post_init__": 0, "digest": 0}
+        for name in calls:
+            def counted(self, _original=getattr(EnvConfig, name), _name=name):
+                calls[_name] += 1
+                return _original(self)
+
+            monkeypatch.setattr(EnvConfig, name, counted)
+        trace, _ = run_episode(config, agent, steps=config.episode_length, seed=5)
+        assert calls == {"__post_init__": 0, "digest": 0}
+        assert trace.config_digest == expected
+        assert calls == {"__post_init__": 1, "digest": 1}  # the read builds the seeded config once
 
     def test_variant_mismatch_is_rejected(self):
         agent = RuleBasedAgent(EnvConfig(variant=EnvVariant.ADVANCED))
@@ -162,6 +211,17 @@ class TestTraceFiles:
             path.write_text(f"{header}\n{row}\n")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed row"):
                 load_trace(path)
+
+    @pytest.mark.parametrize("row", [
+        "1,\uff10.5,0.0,0.1,1.0,0.5,0.5,1.0".encode(),  # a full-width digit, which float() reads
+        "1,0.5,0.0,0.1,1.0,0.5,0.5,1.0\u00a0".encode(),  # a no-break space, which float() strips
+        b"1,0.5,0.0,0.1,1.0,0.5,0.5,1.0\xff",  # not UTF-8 either
+    ], ids=["full-width-digit", "no-break-space", "ff-byte"])
+    def test_load_reads_ascii_only(self, tmp_path, row):
+        path = tmp_path / "foreign.csv"
+        path.write_bytes(",".join(TRACE_COLUMNS).encode() + b"\n" + row + b"\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not an ASCII trace file$"):
+            load_trace(path)
 
     def test_load_rejects_rows_export_cannot_write(self, tmp_path):
         path = tmp_path / "impossible.csv"
