@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .agents import Agent, QLearningAgent, RandomAgent, RuleBasedAgent
-from .config import _DEFAULTS, ConfigError, EnvConfig, _canonical
+from .config import ConfigError, EnvConfig, check_field
 from .env import SortingLineEnv
 from .rng import stream_seed
 from .types import SPEED_INDICES, EnvVariant, InputType, SortingMode, speed_fraction
@@ -46,23 +46,10 @@ TRACE_SPEEDS = frozenset(speed_fraction(k) for k in SPEED_INDICES)
 
 @dataclass(slots=True)
 class EpisodeTrace:
-    """The rows of one episode, tagged with the run that recorded them.
-
-    ``config`` is the config the episode ran with, apart from ``seed``, which
-    replaced its root seed.  A loaded trace carries no tags.
-    """
-
     rows: list[TraceRow]
-    config: EnvConfig | None = None
+    config_digest: str | None = None
     seed: int | None = None
     agent_name: str | None = None
-
-    @property
-    def config_digest(self) -> str | None:
-        """Digest of the run's config with its seed, computed when read."""
-        if self.config is None:
-            return None
-        return replace(self.config, seed=self.seed).digest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,17 +89,16 @@ def run_episode(
 
     ``steps`` and ``seed`` override the config's episode length and root seed.
     They are checked as those config fields are, but the config is rebuilt
-    only for a different length: the env resets by seed.
+    only for a different length: the env resets by seed, and the trace's
+    digest is the config's under that seed.
     """
     if agent.variant is not config.variant:
         raise ConfigError(
             f"agent variant {agent.variant.value} does not match config {config.variant.value}"
         )
     # Checked in field order, as construction checks them.
-    length = config.episode_length if steps is None else _canonical(
-        "episode_length", _DEFAULTS["episode_length"], steps
-    )
-    seed = config.seed if seed is None else _canonical("seed", _DEFAULTS["seed"], seed)
+    length = config.episode_length if steps is None else check_field("episode_length", steps)
+    seed = config.seed if seed is None else check_field("seed", seed)
     if length != config.episode_length:
         config = replace(config, episode_length=length)  # checks length >= 1
     env = SortingLineEnv(config)
@@ -131,7 +117,7 @@ def run_episode(
             result.reward, cum_reward, info["purity"],
         )))
         obs = result.observation
-    trace = EpisodeTrace(rows, config, seed, agent.name)
+    trace = EpisodeTrace(rows, config.digest(seed), seed, agent.name)
     return trace, summarize(trace)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, fields, replace
@@ -42,8 +43,8 @@ class EnvConfig:
     def __post_init__(self) -> None:
         # Frozen, so object.__setattr__; writing to self.__dict__ would be
         # quicker here but slows every later attribute read.
-        for name, default in _DEFAULTS.items():
-            object.__setattr__(self, name, _canonical(name, default, getattr(self, name)))
+        for name in _DEFAULTS:
+            object.__setattr__(self, name, check_field(name, getattr(self, name)))
         self.validate()
 
     def validate(self) -> None:
@@ -71,32 +72,44 @@ class EnvConfig:
     def limit_for_speed(self, speed_index: int) -> float:
         return self.occupancy_limits[speed_index - 1]
 
-    def digest(self) -> str:
+    def digest(self, seed: int | None = None) -> str:
         """Short stable hash of every field, for tagging traces and reports.
 
         Construction stores each value in one canonical form, so equal configs
         (``r_acc=1`` and ``r_acc=1.0``, ``obs_noise_level=-0.0`` and ``0.0``)
-        share a digest."""
-        parts = []
-        for name in _DEFAULTS:
-            value = getattr(self, name)
-            if isinstance(value, Enum):
-                value = value.value
-            elif isinstance(value, tuple):
-                value = ",".join(map(repr, value))
-            parts.append(f"{name}={value!r}")
-        blob = ";".join(parts).encode("ascii")
+        share a digest.  A ``seed``, checked as the field is, stands in for
+        the root seed: ``config.digest(s) == replace(config, seed=s).digest()``
+        without building that config."""
+        seed = self.seed if seed is None else check_field("seed", seed)
+        blob = f"{_digest_head(self)};seed={seed!r}".encode("ascii")
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
 _DEFAULTS = {field.name: field.default for field in fields(EnvConfig)}
 
 
-def _canonical(name: str, default: Any, value: Any) -> Any:
-    """``value`` in the form of ``default``: the same enum's member, a tuple of
-    as many floats, an int from an integral number, or a float from an int or
-    float with ``-0.0`` as ``0.0``.  Types are matched exactly, so a bool is no
-    number.  Any other value is a ``ConfigError`` naming the field."""
+@functools.lru_cache(maxsize=64)
+def _digest_head(config: EnvConfig) -> str:
+    """The digested form of every field before ``seed``, the last one; an
+    episode loop digests one config under many seeds."""
+    parts = []
+    for name in list(_DEFAULTS)[:-1]:
+        value = getattr(config, name)
+        if isinstance(value, Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = ",".join(map(repr, value))
+        parts.append(f"{name}={value!r}")
+    return ";".join(parts)
+
+
+def check_field(name: str, value: Any) -> Any:
+    """``value`` in the form of field ``name``'s default: the same enum's
+    member, a tuple of as many floats, an int from an integral number, or a
+    float from an int or float with ``-0.0`` as ``0.0``.  Types are matched
+    exactly, so a bool is no number.  Any other value is a ``ConfigError``
+    naming the field.  Ranges are ``EnvConfig.validate``'s to check."""
+    default = _DEFAULTS[name]
     kind = type(default)
     try:
         if kind is tuple:

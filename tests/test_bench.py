@@ -99,21 +99,20 @@ class TestRunEpisode:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_episode(config, agent, **overrides)
 
-    def test_a_full_length_episode_builds_and_digests_no_config(self, monkeypatch):
+    def test_a_full_length_episode_builds_no_config(self, monkeypatch):
         config = EnvConfig()
         agent = RuleBasedAgent(config)
         expected = replace(config, seed=5).digest()
         calls = {"__post_init__": 0, "digest": 0}
         for name in calls:
-            def counted(self, _original=getattr(EnvConfig, name), _name=name):
+            def counted(self, *args, _original=getattr(EnvConfig, name), _name=name):
                 calls[_name] += 1
-                return _original(self)
+                return _original(self, *args)
 
             monkeypatch.setattr(EnvConfig, name, counted)
         trace, _ = run_episode(config, agent, steps=config.episode_length, seed=5)
-        assert calls == {"__post_init__": 0, "digest": 0}
+        assert calls == {"__post_init__": 0, "digest": 1}  # the digest under seed 5, no seeded config
         assert trace.config_digest == expected
-        assert calls == {"__post_init__": 1, "digest": 1}  # the read builds the seeded config once
 
     def test_variant_mismatch_is_rejected(self):
         agent = RuleBasedAgent(EnvConfig(variant=EnvVariant.ADVANCED))

@@ -131,6 +131,19 @@ class TestDigest:
         )
         assert parsed.digest() == "aabcecfc6104"
 
+    @pytest.mark.parametrize("seed, stored", [(3, 3), (3.0, 3), (2**70, 2**70), (-1, -1)])
+    def test_a_seed_stands_in_for_the_root_seed(self, seed, stored):
+        from dataclasses import replace
+
+        for config in (EnvConfig(), standard_setups(EnvVariant.ADVANCED)["D"]):
+            assert config.digest(seed) == replace(config, seed=stored).digest()
+            assert config.digest() == replace(config, seed=config.seed).digest()
+
+    @pytest.mark.parametrize("seed", [True, "3", 2.5])
+    def test_a_seed_is_checked_as_the_field_is(self, seed):
+        with pytest.raises(ConfigError, match=f"^bad value for 'seed': {re.escape(repr(seed))}$"):
+            EnvConfig().digest(seed)
+
 
 class TestFromMapping:
     def test_string_values(self):
