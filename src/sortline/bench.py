@@ -289,6 +289,7 @@ def run_benchmark(
         raise ConfigError("benchmark seeds must be distinct")
     if not ordered_seeds:
         raise ConfigError("benchmark needs at least one seed")
+    steps = check_field("episode_length", steps)  # as run_episode checks it, but before training
     if steps < 1:
         raise ConfigError(f"evaluation episode length must be at least 1 step, got {steps}")
     report = BenchmarkReport()

@@ -81,6 +81,7 @@ class SortingLineEnv:
         self._sorting_stream = None
         self._obs_stream = None
         self._obs: Observation | None = None
+        self._input_occupancy = 0.0  # occupancy(state.input), taken with _obs
 
     @property
     def state(self) -> EnvState:
@@ -111,17 +112,18 @@ class SortingLineEnv:
         """Observation of the input stage: the normalized total, perturbed by
         one multiplicative uniform draw, plus the true ratio category in the
         advanced variant.  Consumes one draw per fresh input, even at zero
-        noise level; repeated calls within a step return the same observation."""
+        noise level; repeated calls within a step return the same observation.
+        A batch's occupancy and category are computed once, here, when it is
+        observed as input; step() reuses both when the batch reaches the belt."""
         if self._obs is None:
-            state = self._state or self.state  # the property raises before reset()
+            mix = (self._state or self.state).input  # the property raises before reset()
             level = self.config.obs_noise_level
             # uniform(-level, level) written out; level + level is exactly level - (-level).
             u = -level + (level + level) * self._obs_stream.random()
-            observed = apply_observation_noise(occupancy(state.input), u)
-            if self.config.variant is EnvVariant.ADVANCED:
-                self._obs = Observation(observed, classify_ratio(state.input))
-            else:
-                self._obs = Observation(observed)
+            self._input_occupancy = occ = occupancy(mix)
+            category = classify_ratio(mix) if self.config.variant is EnvVariant.ADVANCED else None
+            # Built in C by tuple.__new__, as is StepResult: NamedTuple's generated __new__ runs Python.
+            self._obs = tuple.__new__(Observation, (apply_observation_noise(occ, u), category))
         return self._obs
 
     def step(self, action: Action) -> StepResult:
@@ -130,7 +132,7 @@ class SortingLineEnv:
         1. sort the machine contents into storage at their carried accuracy
         2. shift belt -> machine, input -> belt, draw fresh input
         3. apply the action's speed (and mode)
-        4. recompute accuracy for the batch now on the belt
+        4. recompute accuracy for the belt batch (occupancy and category computed once, as input)
         5. reward from that accuracy and speed, minus any change penalty
         6. observe the fresh input
         """
@@ -140,6 +142,7 @@ class SortingLineEnv:
             raise EpisodeDoneError("episode is finished; call reset()")
         validate_action(action, config.variant)
         speed, mode = action.speed_index, action.mode
+        occ, correct = self._input_occupancy, self._obs.ratio_category  # of the next belt batch
 
         if state.machine != EMPTY_MIX:
             _, delta = sort_transfer(state.machine, state.machine_accuracy)
@@ -147,7 +150,7 @@ class SortingLineEnv:
 
         state.machine = state.belt
         state.machine_accuracy = state.accuracy
-        state.belt = belt = state.input
+        state.belt = state.input
         state.input = self._generator.draw()
         self._obs = None
 
@@ -155,12 +158,10 @@ class SortingLineEnv:
         state.speed_index = speed
 
         # A valid action carries a mode exactly in the advanced variant.
-        occ = occupancy(belt)
         if mode is None:
             mode_correct = None
             accuracy = base_accuracy(speed, occ, config, self._sorting_stream)
         else:
-            correct = classify_ratio(belt)
             mode_correct = mode is correct
             pre_noise = deterministic_accuracy(speed, occ, config)
             accuracy = apply_mode(pre_noise, mode, correct, config, self._sorting_stream)
@@ -176,4 +177,4 @@ class SortingLineEnv:
             "purity": purity(state.storage),
             "mode_correct": mode_correct,
         }
-        return StepResult(self.observe(), reward, step_count >= config.episode_length, info)
+        return tuple.__new__(StepResult, (self.observe(), reward, step_count >= config.episode_length, info))

@@ -346,12 +346,14 @@ class TestBenchmark:
         with pytest.raises(ConfigError):
             run_benchmark(setups, factories, seeds=[], steps=5)
 
-    @pytest.mark.parametrize("steps", [0, -3])
+    @pytest.mark.parametrize("steps", [0, -3, True, 2.5, "5", None])
     def test_episode_length_is_checked_before_training(self, steps):
         def untrainable(config, seed):
             raise AssertionError("trained before the arguments were checked")
 
-        with pytest.raises(ConfigError, match="^evaluation episode length"):
+        # A value in episode_length's form but below 1 gets the message the CLI reports.
+        message = "evaluation episode length" if type(steps) is int else "bad value for 'episode_length'"
+        with pytest.raises(ConfigError, match=f"^{message}"):
             run_benchmark(standard_setups(EnvVariant.BASIC), {"qtable": untrainable}, seeds=[1], steps=steps)
 
     def test_single_seed_has_zero_spread(self):

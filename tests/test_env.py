@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import pytest
 
+from sortline.bench import standard_setups
 from sortline.config import ConfigError, EnvConfig
-from sortline.env import EpisodeDoneError, SortingLineEnv, apply_observation_noise
+from sortline.env import EpisodeDoneError, SortingLineEnv, StepResult, apply_observation_noise
 from sortline.rng import OBSERVATION_STREAM, make_stream
 from sortline.sorting import classify_ratio, deterministic_accuracy, occupancy, purity, step_reward
 from sortline.types import (
+    ACTIONS,
     EMPTY_MIX,
     SPEED_INDICES,
     STAGE_CAPACITY,
@@ -18,6 +20,7 @@ from sortline.types import (
     EnvVariant,
     InputType,
     MaterialMix,
+    Observation,
     SortingMode,
     StorageTally,
     action_count,
@@ -31,6 +34,21 @@ NOISELESS = EnvConfig(base_noise_range=(0.0, 0.0))
 def pipeline_total(env):
     state = env.state
     return state.input.total + state.belt.total + state.machine.total + state.storage.total
+
+
+def random_episodes(seed):
+    """Whole episodes in the 8 standard cells under random actions (modes
+    drawn at random in the advanced variant): for every step, the batch about
+    to move onto the belt (the input before the step), the action and the result."""
+    rng = random.Random(seed)
+    for variant in EnvVariant:
+        for config in standard_setups(variant).values():
+            env = SortingLineEnv(config)
+            env.reset(seed=rng.randrange(1000))
+            for _ in range(config.episode_length):
+                belt = env.state.input
+                action = action_from_index(rng.randrange(action_count(variant)), variant)
+                yield belt, action, env.step(action)
 
 
 class TestReset:
@@ -192,6 +210,8 @@ class TestStepPipeline:
         result = env.step(Action(2))
         assert result.info["occupancy"] == pending.total / 100.0
         assert result.info["speed"] == 0.2
+        for belt, _, result in random_episodes(seed=8):
+            assert result.info["occupancy"] == occupancy(belt)
 
     def test_advanced_mode_correctness_flag(self):
         env = SortingLineEnv(EnvConfig(variant=EnvVariant.ADVANCED))
@@ -204,6 +224,25 @@ class TestStepPipeline:
         wrong = SortingMode.NEGATIVE if obs.ratio_category is not SortingMode.NEGATIVE else SortingMode.POSITIVE
         result = env.step(Action(5, wrong))
         assert result.info["mode_correct"] is False
+        flags = []
+        for belt, action, result in random_episodes(seed=13):
+            mode = action.mode
+            expected = None if mode is None else mode is classify_ratio(belt)
+            assert result.info["mode_correct"] is expected
+            flags.append(expected)
+        assert {None, True, False} <= set(flags)
+
+    def test_records_are_whole_and_of_their_type(self):
+        # The env builds them with tuple.__new__, which skips NamedTuple's arity check.
+        for variant in EnvVariant:
+            env = SortingLineEnv(EnvConfig(variant=variant))
+            observations = [env.reset(seed=6)]
+            for action in ACTIONS[variant]:
+                result = env.step(action)
+                assert type(result) is StepResult and len(result) == len(StepResult._fields)
+                observations.append(result.observation)
+            for obs in observations:
+                assert type(obs) is Observation and len(obs) == len(Observation._fields)
 
     def test_basic_variant_has_no_mode_flag(self):
         env = SortingLineEnv(EnvConfig())
