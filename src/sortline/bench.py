@@ -38,6 +38,7 @@ _HEADER = ",".join(TRACE_COLUMNS) + "\n"
 # One trace row: the step, then the seven float columns at six decimals.
 # ``%.6f`` renders a float exactly as the ``:.6f`` format spec does.
 _ROW_FORMAT = "%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n"
+_ROW_BYTES = b"0123456789.,-\n"  # every byte _ROW_FORMAT writes
 # O_BINARY (Windows only) keeps the C runtime from writing "\n" as "\r\n".
 _EXPORT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 # The speed column holds the speed fraction of a speed index.
@@ -103,7 +104,7 @@ def run_episode(
         config = replace(config, episode_length=length)  # checks length >= 1
     env = SortingLineEnv(config)
     obs = env.reset(seed)
-    make_row = TraceRow._make
+    new = tuple.__new__  # builds a TraceRow in C, as env.step builds its records
     rows: list[TraceRow] = []
     cum_reward = 0.0
     for step in range(1, config.episode_length + 1):
@@ -112,7 +113,7 @@ def run_episode(
         agent.notify(result)
         cum_reward += result.reward
         info = result.info
-        rows.append(make_row((
+        rows.append(new(TraceRow, (
             step, info["speed"], action.mode or SortingMode.BASIC, info["occupancy"], info["accuracy"],
             result.reward, cum_reward, info["purity"],
         )))
@@ -153,14 +154,15 @@ def export_trace(trace: EpisodeTrace, path: str | Path) -> None:
 
 def load_trace(path: str | Path) -> EpisodeTrace:
     """Read a file ``export_trace`` wrote; the trace carries no tags."""
+    data = Path(path).read_bytes()
     try:
-        lines = Path(path).read_bytes().decode("ascii").splitlines()
+        lines = data.decode("ascii").splitlines()
     except UnicodeDecodeError:
         raise ValueError(f"{path} is not an ASCII trace file") from None
     if not lines or lines[0] + "\n" != _HEADER:
         raise ValueError(f"{path} is not a trace file")
     isfinite = math.isfinite
-    make_row = TraceRow._make
+    new = tuple.__new__
     rows = []
     for position, line in enumerate(lines[1:], start=1):
         try:
@@ -186,7 +188,13 @@ def load_trace(path: str | Path) -> EpisodeTrace:
             raise ValueError(f"{path}: speed off the tenths grid in row {line!r}")
         if not (0.0 <= occupancy <= 1.0 and 0.0 <= accuracy <= 1.0 and 0.0 <= purity <= 1.0):
             raise ValueError(f"{path}: occupancy, accuracy or purity outside [0, 1] in row {line!r}")
-        rows.append(make_row((step, speed, mode, occupancy, accuracy, reward, cum_reward, purity)))
+        rows.append(new(TraceRow, (step, speed, mode, occupancy, accuracy, reward, cum_reward, purity)))
+    # int() and float() also take what _ROW_FORMAT never writes ("0_0.5", " 1", "5e-1",
+    # "+1", a "\r" line end), so the rows, from the header's "\n" on, may hold only its bytes.
+    body = data[len(_HEADER) - 1:]
+    if body.translate(None, _ROW_BYTES):
+        line = next(row for row in body.split(b"\n") if row.translate(None, _ROW_BYTES)).decode()
+        raise ValueError(f"{path}: malformed row {line!r}")
     return EpisodeTrace(rows)
 
 

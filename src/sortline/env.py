@@ -129,7 +129,7 @@ class SortingLineEnv:
     def step(self, action: Action) -> StepResult:
         """Advance the line one step:
 
-        1. sort the machine contents into storage at their carried accuracy
+        1. sort the machine contents into storage, in place, at their carried accuracy
         2. shift belt -> machine, input -> belt, draw fresh input
         3. apply the action's speed (and mode)
         4. recompute accuracy for the belt batch (occupancy and category computed once, as input)
@@ -140,13 +140,12 @@ class SortingLineEnv:
         config = self.config
         if state.step_count >= config.episode_length:
             raise EpisodeDoneError("episode is finished; call reset()")
-        validate_action(action, config.variant)
+        validate_action(action, config.variant)  # the mode; the speed was checked when built
         speed, mode = action.speed_index, action.mode
         occ, correct = self._input_occupancy, self._obs.ratio_category  # of the next belt batch
 
         if state.machine != EMPTY_MIX:
-            _, delta = sort_transfer(state.machine, state.machine_accuracy)
-            state.storage.add(delta)
+            sort_transfer(state.machine, state.machine_accuracy, state.storage)
 
         state.machine = state.belt
         state.machine_accuracy = state.accuracy

@@ -86,7 +86,7 @@ def _action_from_payload(payload: Any) -> Action:
     if not isinstance(payload, dict) or "speed" not in payload:
         raise ValueError("action must be an object with a 'speed' key")
     mode = payload.get("mode")
-    # validate_action, in env.step, refuses a speed that is not an int in range.
+    # Built before the step, so a bad speed or mode name is BAD_ACTION even after the episode's end.
     return Action(payload["speed"], SortingMode.from_name(mode) if mode is not None else None)
 
 

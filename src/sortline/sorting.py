@@ -1,7 +1,7 @@
 """Sorting physics: accuracy surface, mode effects, transfer, purity, reward.
 
-All functions here are pure; the only randomness enters through an explicitly
-passed stream, and each accuracy computation consumes exactly one draw.
+All functions but sort_transfer (which adds into a tally it is given) are pure;
+randomness enters only through a passed stream, one draw per accuracy.
 """
 
 from __future__ import annotations
@@ -84,12 +84,14 @@ def apply_mode(
     return _clamp01(adjusted - noise)
 
 
-def sort_transfer(machine: MaterialMix, alpha: float) -> tuple[MaterialMix, StorageTally]:
+def sort_transfer(
+    machine: MaterialMix, alpha: float, into: StorageTally | None = None
+) -> tuple[tuple[float, float], StorageTally]:
     """Split the machine contents between the two containers at accuracy ``alpha``.
 
-    Returns the container totals as a mix (container A first) together with a
-    tally delta separating correctly from incorrectly routed material.  The
-    transfer conserves mass.
+    Returns the container totals as a plain ``(a, b)`` pair (container A first)
+    and the batch's tally: ``into``, with the batch's four parts added in place,
+    or else a fresh tally of the batch alone.  The transfer conserves mass.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"accuracy out of range: {alpha}")
@@ -97,7 +99,13 @@ def sort_transfer(machine: MaterialMix, alpha: float) -> tuple[MaterialMix, Stor
     a, b = machine
     a_true, a_false = alpha * a, miss * b
     b_true, b_false = alpha * b, miss * a
-    return MaterialMix(a_true + a_false, b_true + b_false), StorageTally(a_true, a_false, b_true, b_false)
+    if into is None:
+        return (a_true + a_false, b_true + b_false), StorageTally(a_true, a_false, b_true, b_false)
+    into.a_true += a_true
+    into.a_false += a_false
+    into.b_true += b_true
+    into.b_false += b_false
+    return (a_true + a_false, b_true + b_false), into
 
 
 def purity(tally: StorageTally) -> float:

@@ -89,10 +89,16 @@ def speed_fraction(speed_index: int) -> float:
 
 @dataclass(frozen=True, slots=True)
 class Action:
-    """One agent decision: a speed setting and, in the advanced variant, a mode."""
+    """One agent decision: a speed index and, in the advanced variant, a mode.
+    Building one refuses a speed index that is not an ``int`` in 1..10 (a
+    ``bool``, ``5.0``, a numpy integer); ``validate_action`` checks the mode."""
 
     speed_index: int
     mode: SortingMode | None = None
+
+    def __post_init__(self) -> None:
+        if type(self.speed_index) is not int or self.speed_index not in SPEED_INDICES:
+            raise ValueError(f"speed index must be an int in 1..10, got {self.speed_index!r}")
 
 
 # What an action's mode and an observation's ratio category may be, per variant.
@@ -105,12 +111,7 @@ ACTIONS = {v: tuple(Action(s, m) for s in SPEED_INDICES for m in MODES[v]) for v
 
 
 def validate_action(action: Action, variant: EnvVariant) -> None:
-    """Raise ``ValueError`` unless the speed index is an ``int`` in 1..10 (a
-    ``bool``, ``5.0`` or a numpy integer is refused) and the mode is one the
-    variant takes."""
-    speed = action.speed_index
-    if type(speed) is not int or speed not in SPEED_INDICES:
-        raise ValueError(f"speed index must be an int in 1..10, got {speed!r}")
+    """Raise ``ValueError`` unless the mode is one the variant takes (``Action`` checks the speed)."""
     if action.mode not in MODES[variant]:
         names = "|".join(m.value if m else "none" for m in MODES[variant])
         raise ValueError(f"{variant.value} variant takes mode {names}, got {action.mode!r}")
@@ -146,12 +147,6 @@ class StorageTally:
     a_false: float = 0.0
     b_true: float = 0.0
     b_false: float = 0.0
-
-    def add(self, delta: "StorageTally") -> None:
-        self.a_true += delta.a_true
-        self.a_false += delta.a_false
-        self.b_true += delta.b_true
-        self.b_false += delta.b_false
 
     @property
     def total(self) -> float:

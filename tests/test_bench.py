@@ -171,6 +171,8 @@ class TestTraceFiles:
         loaded = load_trace(first)
         export_trace(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+        for row in trace.rows + loaded.rows:  # built by tuple.__new__, which checks no arity
+            assert type(row) is TraceRow and len(row) == len(TraceRow._fields)
         reloaded = summarize(loaded)
         assert reloaded.mean_purity == pytest.approx(summary.mean_purity, abs=1e-4)
         assert reloaded.cumulative_reward == pytest.approx(summary.cumulative_reward, abs=1e-4)
@@ -247,6 +249,23 @@ class TestTraceFiles:
             "2,1.000000,0.500000,1.000000,1.000000,1.000000,0.400000,1.000000\n"
         )
         assert [row.step for row in load_trace(path).rows] == [1, 2]
+
+    @pytest.mark.parametrize("row", [
+        "2,0_0.5,0.000000,0.100000,1.000000,0.500000,1.000000,1.000000",
+        " 2,0.500000,0.000000,0.100000,1.000000,0.500000,1.000000,1.000000",
+        "2,5e-1,0.000000,0.100000,1.000000,0.500000,1.000000,1.000000",
+        "2,0.500000,0.000000,0.100000,1.000000,+1,1.000000,1.000000",
+        "2,0.500000,0.000000,0.100000,1.000000,0.500000,1.000000,1.000000\r",
+    ], ids=["underscore", "leading-space", "exponent", "plus-sign", "carriage-return"])
+    def test_load_refuses_tokens_export_never_writes(self, tmp_path, row):
+        """int() and float() read each of these; the first such row is named."""
+        path = tmp_path / "loose.csv"
+        header = ",".join(TRACE_COLUMNS)
+        first = "1,0.500000,0.000000,0.100000,1.000000,0.500000,0.500000,1.000000"
+        later = " 3,0.500000,0.000000,0.100000,1.000000,0.500000,1.500000,1.000000"
+        path.write_bytes("\n".join([header, first, row, later, ""]).encode())
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: malformed row {row!r}')}$"):
+            load_trace(path)
 
     def test_reference_trace_replays_byte_for_byte(self, tmp_path):
         config = EnvConfig()

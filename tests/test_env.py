@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -10,7 +10,14 @@ from sortline.bench import standard_setups
 from sortline.config import ConfigError, EnvConfig
 from sortline.env import EpisodeDoneError, SortingLineEnv, StepResult, apply_observation_noise
 from sortline.rng import OBSERVATION_STREAM, make_stream
-from sortline.sorting import classify_ratio, deterministic_accuracy, occupancy, purity, step_reward
+from sortline.sorting import (
+    classify_ratio,
+    deterministic_accuracy,
+    occupancy,
+    purity,
+    sort_transfer,
+    step_reward,
+)
 from sortline.types import (
     ACTIONS,
     EMPTY_MIX,
@@ -193,6 +200,26 @@ class TestStepPipeline:
         assert storage.a_false == pytest.approx(10.0)
         assert storage.b_true == pytest.approx(40.0)
         assert storage.b_false == pytest.approx(10.0)
+
+    def test_storage_folds_the_batch_tallies_in_order(self):
+        """In every standard cell, a whole episode's storage is the pure
+        tallies of the batches that reached the machine, added in order."""
+        rng = random.Random(21)
+        for variant in EnvVariant:
+            for config in standard_setups(variant).values():
+                env = SortingLineEnv(config)
+                env.reset(seed=rng.randrange(1000))
+                want = [0.0, 0.0, 0.0, 0.0]
+                sorted_batches = 0
+                for _ in range(config.episode_length):
+                    machine, alpha = env.state.machine, env.state.machine_accuracy
+                    if machine != EMPTY_MIX:
+                        _, batch = sort_transfer(machine, alpha)
+                        want = [w + x for w, x in zip(want, astuple(batch))]
+                        sorted_batches += 1
+                    env.step(action_from_index(rng.randrange(action_count(variant)), variant))
+                assert sorted_batches >= config.episode_length - 2
+                assert [x.hex() for x in astuple(env.state.storage)] == [x.hex() for x in want]
 
     def test_reward_matches_the_formula_and_penalty_rules(self):
         config = replace(NOISELESS, action_penalty=0.5)

@@ -1,6 +1,7 @@
 """Sorter physics: pinned examples plus property tests for the invariants."""
 
-from dataclasses import replace
+import itertools
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ from sortline.sorting import (
     sort_transfer,
     step_reward,
 )
-from sortline.types import MaterialMix, SortingMode, StorageTally
+from sortline.types import STAGE_CAPACITY, MaterialMix, SortingMode, StorageTally
 
 CONFIG = EnvConfig()
 
@@ -154,11 +155,11 @@ class TestSortTransfer:
         assert delta.a_false == pytest.approx(10.0)
         assert delta.b_true == pytest.approx(40.0)
         assert delta.b_false == pytest.approx(10.0)
-        assert sorted_mix.total == pytest.approx(100.0)
+        assert sum(sorted_mix) == pytest.approx(100.0)
 
     def test_perfect_accuracy(self):
         sorted_mix, delta = sort_transfer(MaterialMix(30.0, 20.0), 1.0)
-        assert (sorted_mix.a, sorted_mix.b) == (30.0, 20.0)
+        assert sorted_mix == (30.0, 20.0)
         assert delta.a_false == 0.0 and delta.b_false == 0.0
 
     def test_rejects_bad_accuracy(self):
@@ -168,17 +169,39 @@ class TestSortTransfer:
     @given(mixes, st.floats(0.0, 1.0))
     def test_conserves_mass(self, mix, alpha):
         sorted_mix, delta = sort_transfer(mix, alpha)
-        assert sorted_mix.total == pytest.approx(mix.total, rel=1e-12, abs=1e-12)
+        assert sum(sorted_mix) == pytest.approx(mix.total, rel=1e-12, abs=1e-12)
         assert delta.total == pytest.approx(mix.total, rel=1e-12, abs=1e-12)
 
     @given(mixes, st.floats(0.0, 1.0))
     def test_single_batch_purity_equals_accuracy(self, mix, alpha):
         if mix.total < 1e-9:
             return  # subnormal-scale quantities quantize away the identity
-        _, delta = sort_transfer(mix, alpha)
         tally = StorageTally()
-        tally.add(delta)
+        sort_transfer(mix, alpha, tally)
         assert purity(tally) == pytest.approx(alpha, abs=1e-12)
+
+    def test_adding_in_place_matches_the_batch_tally_added(self):
+        """The in-place form adds exactly the parts of the pure form's tally,
+        in field order, and returns the same container pair, bit for bit."""
+        parts = (0.0, 1e-9, 1 / 3, 12.5, 49.99, 60.0, 100.0)
+        alphas = (0.0, 1e-12, 0.1, 1 / 3, 0.5, 0.65, 0.8, 0.999999, 1.0)
+        for a, b, alpha in itertools.product(parts, parts, alphas):
+            if a + b > STAGE_CAPACITY:
+                continue
+            mix = MaterialMix(a, b)
+            for start in ((0.0, 0.0, 0.0, 0.0), (40.1, 7.3, 1e-7, 250.0 / 3)):
+                pair, batch = sort_transfer(mix, alpha)
+                want = StorageTally(*start)
+                want.a_true += batch.a_true
+                want.a_false += batch.a_false
+                want.b_true += batch.b_true
+                want.b_false += batch.b_false
+                storage = StorageTally(*start)
+                got_pair, got = sort_transfer(mix, alpha, storage)
+                assert got is storage
+                assert type(pair) is tuple and type(got_pair) is tuple
+                assert [x.hex() for x in got_pair] == [x.hex() for x in pair]
+                assert [x.hex() for x in astuple(got)] == [x.hex() for x in astuple(want)]
 
 
 class TestPurity:

@@ -1,10 +1,12 @@
 """Domain type invariants and the action-space encoding."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from sortline.sorting import sort_transfer
 from sortline.types import (
     ACTIONS,
     EMPTY_MIX,
@@ -101,6 +103,13 @@ class TestActionSpace:
             with pytest.raises(ValueError):
                 validate_action(Action(speed), EnvVariant.BASIC)
 
+    @pytest.mark.parametrize("speed", [True, 5.0, np.int64(5), "5", None, 0, 11])
+    def test_an_action_checks_its_speed_when_built(self, speed):
+        message = rf"^speed index must be an int in 1\.\.10, got {re.escape(repr(speed))}$"
+        for mode in (None, SortingMode.POSITIVE, "positive"):  # the mode is not checked here
+            with pytest.raises(ValueError, match=message):
+                Action(speed, mode)
+
     def test_index_range_checks(self):
         with pytest.raises(ValueError):
             action_from_index(10, EnvVariant.BASIC)
@@ -110,7 +119,7 @@ class TestActionSpace:
 
 def test_storage_tally_accumulates():
     tally = StorageTally()
-    tally.add(StorageTally(a_true=40.0, a_false=10.0, b_true=40.0, b_false=10.0))
-    tally.add(StorageTally(a_true=1.0))
+    sort_transfer(MaterialMix(50.0, 50.0), 0.8, tally)  # about 40, 10, 40, 10
+    sort_transfer(MaterialMix(1.0, 0.0), 1.0, tally)
     assert tally.a_true == 41.0
     assert tally.total == 101.0
