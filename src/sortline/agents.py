@@ -15,7 +15,7 @@ from .config import ConfigError, EnvConfig
 from .env import SortingLineEnv, StepResult
 from .rng import AGENT_STREAM, make_stream
 from .sorting import apply_mode, base_accuracy, deterministic_accuracy, step_reward
-from .types import ACTIONS, MODES, Action, EnvVariant, Observation, SortingMode
+from .types import ACTIONS, MODES, Action, EnvVariant, Observation, SortingMode, validate_action
 
 BINS = 20
 
@@ -60,6 +60,11 @@ class _NoiseMean:
         return (lo + hi) / 2.0
 
 
+def _check_category(variant: EnvVariant, category: SortingMode | None) -> None:
+    if category not in MODES[variant]:
+        raise ValueError(f"{variant.value} variant observes no category {category!r}")
+
+
 def expected_immediate_reward(
     config: EnvConfig,
     occ: float,
@@ -69,8 +74,11 @@ def expected_immediate_reward(
     """One-step reward at the noise mean, with no change penalty.
 
     In the advanced variant the observed ``category`` is taken to be the true
-    regime, so a matching mode earns the bonus and a mismatch the malus.
+    regime, so a matching mode earns the bonus and a mismatch the malus.  An
+    action or category the variant does not take raises ``ValueError``.
     """
+    validate_action(action, config.variant)
+    _check_category(config.variant, category)
     if config.variant is EnvVariant.ADVANCED:
         pre_noise = deterministic_accuracy(action.speed_index, occ, config)
         alpha = apply_mode(pre_noise, action.mode, category, config, _NoiseMean)
@@ -79,19 +87,30 @@ def expected_immediate_reward(
     return step_reward(alpha, action.speed_index, config, speed_changed=False)
 
 
+def _best_actions(config: EnvConfig, occ: float) -> dict[SortingMode | None, Action]:
+    """``best_action`` for every category the variant observes, from one pricing
+    pass: ``apply_mode`` prices a mode only by whether it fits the category."""
+    modes, actions = MODES[config.variant], ACTIONS[config.variant]
+    n = len(modes)  # speed s's actions, in mode order, are actions[(s - 1) * n:s * n]
+    # Priced for category modes[0], each speed's first action fits and its second, if any, misses.
+    fits = [expected_immediate_reward(config, occ, a, modes[0]) for a in actions[::n]]
+    misses = [expected_immediate_reward(config, occ, a, modes[0]) for a in actions[1::n]] if n > 1 else []
+    picks = {}
+    for category in modes:
+        prices = [(fits if a.mode is category else misses)[a.speed_index - 1] for a in actions]
+        # For a finite occ every price is finite: index(max()) is the scan's first strict maximum.
+        picks[category] = actions[prices.index(max(prices))]
+    return picks
+
+
 def best_action(config: EnvConfig, occ: float, category: SortingMode | None = None) -> Action:
     """Action maximizing the expected immediate reward at occupancy ``occ``.
 
-    Ties resolve toward the lower speed index (and earlier mode).
+    Ties resolve toward the lower speed index (and earlier mode); a category
+    the variant does not observe raises ``ValueError``.
     """
-    best = None
-    best_reward = -float("inf")
-    for action in ACTIONS[config.variant]:
-        reward = expected_immediate_reward(config, occ, action, category)
-        if reward > best_reward:
-            best = action
-            best_reward = reward
-    return best
+    _check_category(config.variant, category)
+    return _best_actions(config, occ)[category]
 
 
 class RuleBasedAgent(Agent):
@@ -109,9 +128,8 @@ class RuleBasedAgent(Agent):
         self.variant = config.variant
         self.table: dict[tuple[int, SortingMode | None], Action] = {}
         for b in range(BINS):
-            center = (b + 0.5) / BINS
-            for category in MODES[config.variant]:
-                self.table[(b, category)] = best_action(config, center, category)
+            for category, action in _best_actions(config, (b + 0.5) / BINS).items():
+                self.table[(b, category)] = action
 
     def act(self, obs: Observation) -> Action:
         key = (bin_index(obs.input_total), obs.ratio_category)

@@ -7,6 +7,7 @@ import math
 import os
 import statistics
 from dataclasses import asdict, dataclass, field, replace
+from operator import attrgetter, ne
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -71,12 +72,12 @@ def summarize(trace: EpisodeTrace) -> EpisodeSummary:
     rows = trace.rows
     if not rows:
         return EpisodeSummary(0.0, 0.0, 0.0, 0)
-    changes = sum(1 for prev, cur in zip(rows, rows[1:]) if cur.speed != prev.speed)
+    speeds = list(map(attrgetter("speed"), rows))
     return EpisodeSummary(
-        mean_speed=100.0 * sum(r.speed for r in rows) / len(rows),
-        mean_purity=100.0 * sum(r.purity for r in rows) / len(rows),
+        mean_speed=100.0 * sum(speeds) / len(rows),
+        mean_purity=100.0 * sum(map(attrgetter("purity"), rows)) / len(rows),
         cumulative_reward=rows[-1].cum_reward,
-        speed_changes=changes,
+        speed_changes=sum(map(ne, speeds[1:], speeds)),
     )
 
 
@@ -106,18 +107,18 @@ def run_episode(
     obs = env.reset(seed)
     new = tuple.__new__  # builds a TraceRow in C, as env.step builds its records
     rows: list[TraceRow] = []
+    act, step_env, notify, append = agent.act, env.step, agent.notify, rows.append
     cum_reward = 0.0
-    for step in range(1, config.episode_length + 1):
-        action = agent.act(obs)
-        result = env.step(action)
-        agent.notify(result)
-        cum_reward += result.reward
-        info = result.info
-        rows.append(new(TraceRow, (
+    for step in range(1, length + 1):
+        action = act(obs)
+        result = step_env(action)
+        notify(result)
+        obs, reward, _, info = result
+        cum_reward += reward
+        append(new(TraceRow, (
             step, info["speed"], action.mode or SortingMode.BASIC, info["occupancy"], info["accuracy"],
-            result.reward, cum_reward, info["purity"],
+            reward, cum_reward, info["purity"],
         )))
-        obs = result.observation
     trace = EpisodeTrace(rows, config.digest(seed), seed, agent.name)
     return trace, summarize(trace)
 
@@ -290,9 +291,10 @@ def run_benchmark(
     Evaluation order is fixed (setups in mapping order, seeds sorted), so the
     report is a deterministic function of its arguments.  Training seeds are
     derived from the first seed in the sorted list together with the setup
-    and agent names.
+    and agent names.  The seeds and ``steps`` are checked as config fields
+    before any agent is built.
     """
-    ordered_seeds = sorted(seeds)
+    ordered_seeds = sorted([check_field("seed", seed) for seed in seeds])
     if len(set(ordered_seeds)) != len(ordered_seeds):
         raise ConfigError("benchmark seeds must be distinct")
     if not ordered_seeds:
@@ -302,12 +304,11 @@ def run_benchmark(
         raise ConfigError(f"evaluation episode length must be at least 1 step, got {steps}")
     report = BenchmarkReport()
     for setup_name, config in setups.items():
+        eval_config = config if steps == config.episode_length else replace(config, episode_length=steps)
         for agent_name, factory in agent_factories.items():
             train_seed = stream_seed(ordered_seeds[0], f"train:{setup_name}:{agent_name}")
             agent = factory(config, train_seed)
-            summaries = [
-                run_episode(config, agent, steps=steps, seed=seed)[1] for seed in ordered_seeds
-            ]
+            summaries = [run_episode(eval_config, agent, seed=seed)[1] for seed in ordered_seeds]
             rewards = [s.cumulative_reward for s in summaries]
             mean_reward = statistics.fmean(rewards)
             # Population std; statistics.pstdev gives the same figure at ~30x the cost.

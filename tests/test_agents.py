@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sortline
-from sortline import sorting
+from sortline import agents, sorting
 from sortline.agents import (
     BINS,
     LEARNING_RATE,
@@ -24,7 +24,8 @@ from sortline.agents import (
 )
 from sortline.config import ConfigError, EnvConfig
 from sortline.env import StepResult
-from sortline.types import ACTIONS, Action, EnvVariant, Observation, SortingMode
+from sortline.bench import standard_setups
+from sortline.types import ACTIONS, MODES, Action, EnvVariant, Observation, SortingMode
 
 
 def outcome(next_total: float, reward: float, done: bool = False) -> StepResult:
@@ -86,6 +87,8 @@ class TestExpectedReward:
         advanced = replace(basic, variant=EnvVariant.ADVANCED)
         assert best_action(basic, 0.05) == Action(1)
         assert best_action(advanced, 0.05, SortingMode.BASIC) == Action(1, SortingMode.BASIC)
+        # A fit and a miss both earn 0.0, so the first mode wins whatever the category.
+        assert set(RuleBasedAgent(advanced).table.values()) == {Action(1, SortingMode.BASIC)}
 
     def test_follows_the_sorting_model_mode_constants(self, monkeypatch):
         config = EnvConfig(variant=EnvVariant.ADVANCED)  # noise means 0.025 and 0.125
@@ -98,6 +101,89 @@ class TestExpectedReward:
         assert right == pytest.approx(0.5 * ((0.7 + 0.3 - 0.025) - 0.7) / 0.3 + speed_term)
         wrong = expected_immediate_reward(config, 0.3, action, SortingMode.NEGATIVE)
         assert wrong == pytest.approx(0.5 * ((1.0 - 0.15 - 0.125) - 0.7) / 0.3 + speed_term)
+    # (config, action, category): each prices what the variant does not take.
+    @pytest.mark.parametrize("config, action, category", [
+        (ZERO_NOISE_ADV, Action(5), None),  # no mode, which env.step refuses
+        (ZERO_NOISE_ADV, Action(5, SortingMode.BASIC), None),  # no category
+        (ZERO_NOISE, Action(5, SortingMode.POSITIVE), None),  # a basic line has no modes
+        (ZERO_NOISE, Action(5), SortingMode.POSITIVE),  # nor categories
+    ])
+    def test_what_the_variant_does_not_take_is_refused(self, config, action, category):
+        with pytest.raises(ValueError):
+            expected_immediate_reward(config, 0.3, action, category)
+
+    @pytest.mark.parametrize("config, category", [
+        (ZERO_NOISE, SortingMode.POSITIVE),
+        (ZERO_NOISE_ADV, None),
+        (ZERO_NOISE_ADV, "positive"),
+    ])
+    def test_best_action_refuses_a_category_the_variant_does_not_observe(self, config, category):
+        with pytest.raises(ValueError, match="observes no category"):
+            best_action(config, 0.3, category)
+
+    def test_valid_calls_keep_their_values(self):
+        advanced = EnvConfig(variant=EnvVariant.ADVANCED)
+        prices = [
+            expected_immediate_reward(advanced, 0.3, Action(5, SortingMode.BASIC), SortingMode.BASIC),
+            expected_immediate_reward(advanced, 0.3, Action(5, SortingMode.NEGATIVE), SortingMode.POSITIVE),
+            expected_immediate_reward(EnvConfig(), 0.3, Action(5)),
+        ]
+        assert [p.hex() for p in prices] == ["0x1.5c71c71c71c72p-1", "0x1.638e38e38e390p-2", "0x1.071c71c71c71dp-1"]
+
+
+def scanned_table(config: EnvConfig) -> dict:
+    """The rule table by the per-action scan: every action priced for every
+    bin and category, the first strict maximum kept."""
+    table = {}
+    for b in range(BINS):
+        center = (b + 0.5) / BINS
+        for category in MODES[config.variant]:
+            best, best_reward = None, -math.inf
+            for action in ACTIONS[config.variant]:
+                reward = expected_immediate_reward(config, center, action, category)
+                if reward > best_reward:
+                    best, best_reward = action, reward
+            table[(b, category)] = best
+    return table
+
+
+def pricing_grid() -> list[EnvConfig]:
+    """The 8 standard cells, then edge configs of both variants."""
+    configs = [cfg for variant in EnvVariant for cfg in standard_setups(variant).values()]
+    for variant in EnvVariant:
+        base = EnvConfig(variant=variant)
+        configs += [
+            replace(base, r_acc=0.0, r_speed=0.0),  # every action ties
+            replace(base, correct_mode_noise_range=(0.3, 0.4), incorrect_mode_noise_range=(0.0, 0.05)),
+            replace(base, incorrect_mode_noise_range=(0.0, 0.0)),
+            replace(base, threshold=0.2),
+            replace(base, threshold=0.95),
+            replace(base, abatement=0.0),
+            replace(base, abatement=10.0),
+        ]
+    return configs
+
+
+class TestRuleTablePricing:
+    @pytest.mark.parametrize("config", pricing_grid(), ids=lambda c: c.digest())
+    def test_table_equals_the_per_action_scan(self, config):
+        table = RuleBasedAgent(config).table
+        assert list(table.items()) == list(scanned_table(config).items())
+        for (b, category), action in table.items():
+            assert best_action(config, (b + 0.5) / BINS, category) == action
+
+    def test_a_mode_priced_beyond_fit_or_miss_breaks_the_equality(self, monkeypatch):
+        """The table prices each speed once per fit and once per miss; were
+        misses priced by mode, the scan above would tell the tables apart."""
+        config = EnvConfig(variant=EnvVariant.ADVANCED)
+        original = sorting.apply_mode
+
+        def by_mode(alpha, chosen, correct, config, stream):
+            bonus = 0.3 if chosen is SortingMode.NEGATIVE and correct is not chosen else 0.0
+            return min(original(alpha, chosen, correct, config, stream) + bonus, 1.0)
+
+        monkeypatch.setattr(agents, "apply_mode", by_mode)
+        assert RuleBasedAgent(config).table != scanned_table(config)
 
 
 class TestRuleBasedAgent:

@@ -137,6 +137,30 @@ class TestSummarize:
         trace = EpisodeTrace([row(1, 0.5), row(2, 0.5), row(3, 0.7), row(4, 0.5), row(5, 0.5)])
         assert summarize(trace).speed_changes == 2
 
+    # (config, agent, steps, seed): the 8 standard cells under the rule agent,
+    # a 1-step episode and a constant-speed one.
+    CASES = [
+        (cfg, RuleBasedAgent(cfg), 50, 11)
+        for variant in EnvVariant for cfg in standard_setups(variant).values()
+    ] + [
+        (EnvConfig(), RuleBasedAgent(EnvConfig()), 1, 5),
+        (EnvConfig(), ConstantAgent(speed_index=7), 40, 6),
+    ]
+
+    @pytest.mark.parametrize("config, agent, steps, seed", CASES)
+    def test_summary_is_the_row_sums_bit_for_bit(self, config, agent, steps, seed):
+        trace, summary = run_episode(config, agent, steps=steps, seed=seed)
+        rows = trace.rows
+        expected = (
+            100.0 * sum(r.speed for r in rows) / len(rows),
+            100.0 * sum(r.purity for r in rows) / len(rows),
+            rows[-1].cum_reward,
+        )
+        got = (summary.mean_speed, summary.mean_purity, summary.cumulative_reward)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
+        assert summary.speed_changes == sum(1 for prev, cur in zip(rows, rows[1:]) if cur.speed != prev.speed)
+        assert type(summary.speed_changes) is int
+
 
 class TestTraceFiles:
     def test_export_layout(self, tmp_path):
@@ -374,6 +398,50 @@ class TestBenchmark:
         message = "evaluation episode length" if type(steps) is int else "bad value for 'episode_length'"
         with pytest.raises(ConfigError, match=f"^{message}"):
             run_benchmark(standard_setups(EnvVariant.BASIC), {"qtable": untrainable}, seeds=[1], steps=steps)
+
+    @pytest.mark.parametrize("seeds, message", [
+        ([True, 5], "bad value for 'seed': True"),
+        (["3"], "bad value for 'seed': '3'"),
+        ([2.5], "bad value for 'seed': 2.5"),
+        ([3.0, 3], "benchmark seeds must be distinct"),
+    ])
+    def test_seeds_are_checked_before_training(self, seeds, message):
+        def untrainable(config, seed):
+            raise AssertionError("trained before the seeds were checked")
+
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_benchmark(standard_setups(EnvVariant.BASIC), {"qtable": untrainable}, seeds=seeds, steps=5)
+
+    def test_integral_float_seeds_run_as_ints(self):
+        setups = standard_setups(EnvVariant.BASIC)
+        factories = default_agent_factories(train_steps=100, episode_steps=50)
+        as_floats = run_benchmark(setups, factories, seeds=[4.0, 3.0], steps=5)
+        assert as_floats.records == run_benchmark(setups, factories, seeds=[3, 4], steps=5).records
+
+    def test_one_evaluation_config_per_setup(self, monkeypatch):
+        setups = standard_setups(EnvVariant.ADVANCED)
+        built = []
+
+        def rba(config, seed):
+            built.append(config)
+            return RuleBasedAgent(config)
+
+        constructions = []
+        original = EnvConfig.__post_init__
+        monkeypatch.setattr(EnvConfig, "__post_init__", lambda self: (constructions.append(1), original(self))[1])
+        for count in (1, 4):
+            constructions.clear()
+            built.clear()
+            report = run_benchmark(setups, {"rba": rba}, seeds=range(1, count + 1), steps=7)
+            assert len(constructions) == len(setups)  # one per setup, whatever the seed count
+            assert list(map(id, built)) == list(map(id, setups.values()))  # each setup's own config
+        # The records of the per-episode config rebuild this replaced.
+        assert [(r.setup, r.mean_reward, r.std_reward, r.mean_speed, r.mean_purity) for r in report.records] == [
+            ("A", 4.98, 0.54, 54.6, 98.2),
+            ("B", 2.64, 0.72, 42.9, 98.2),
+            ("C", 4.01, 0.85, 57.1, 94.3),
+            ("D", 1.32, 0.62, 42.5, 96.1),
+        ]
 
     def test_single_seed_has_zero_spread(self):
         setups = standard_setups(EnvVariant.BASIC)
