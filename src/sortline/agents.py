@@ -75,8 +75,10 @@ def expected_immediate_reward(
 
     In the advanced variant the observed ``category`` is taken to be the true
     regime, so a matching mode earns the bonus and a mismatch the malus.  An
-    action or category the variant does not take raises ``ValueError``.
+    occupancy outside [0, 1] or what the variant does not take raises ``ValueError``.
     """
+    if not 0.0 <= occ <= 1.0:
+        raise ValueError(f"occupancy outside [0, 1]: {occ}")
     validate_action(action, config.variant)
     _check_category(config.variant, category)
     if config.variant is EnvVariant.ADVANCED:
@@ -98,7 +100,7 @@ def _best_actions(config: EnvConfig, occ: float) -> dict[SortingMode | None, Act
     picks = {}
     for category in modes:
         prices = [(fits if a.mode is category else misses)[a.speed_index - 1] for a in actions]
-        # For a finite occ every price is finite: index(max()) is the scan's first strict maximum.
+        # Every price is finite (occ lies in [0, 1]): index(max()) is the scan's first strict maximum.
         picks[category] = actions[prices.index(max(prices))]
     return picks
 
@@ -106,8 +108,8 @@ def _best_actions(config: EnvConfig, occ: float) -> dict[SortingMode | None, Act
 def best_action(config: EnvConfig, occ: float, category: SortingMode | None = None) -> Action:
     """Action maximizing the expected immediate reward at occupancy ``occ``.
 
-    Ties resolve toward the lower speed index (and earlier mode); a category
-    the variant does not observe raises ``ValueError``.
+    Ties resolve toward the lower speed index (and earlier mode); a bad
+    occupancy or a category the variant does not observe raises ``ValueError``.
     """
     _check_category(config.variant, category)
     return _best_actions(config, occ)[category]
@@ -254,6 +256,8 @@ class QLearningAgent(Agent):
         """
         if config.variant is not self.variant:
             raise ConfigError("agent and config variants differ")
+        if type(episodes) is not int or episodes < 1:
+            raise ConfigError(f"training episodes must be an int of at least 1, got {episodes!r}")
         env = SortingLineEnv(replace(config, episode_length=steps_per_episode))
         self._planned_steps = episodes * steps_per_episode
         self._steps_done = 0

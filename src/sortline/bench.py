@@ -218,6 +218,9 @@ def standard_setups(
 
 AgentFactory = Callable[[EnvConfig, int], Agent]
 
+TRAIN_STEPS = 100_000  # the Q-agent's default training budget,
+EPISODE_STEPS = 250  # in episodes of this many steps
+
 
 def training_episodes(train_steps: int, episode_steps: int) -> int:
     """The number of ``episode_steps``-step episodes that comes nearest
@@ -228,26 +231,22 @@ def training_episodes(train_steps: int, episode_steps: int) -> int:
 
 
 def default_agent_factories(
-    train_steps: int = 100_000,
-    episode_steps: int = 250,
+    train_steps: int = TRAIN_STEPS, episode_steps: int = EPISODE_STEPS
 ) -> dict[str, AgentFactory]:
-    """Factories for the bundled agents, keyed by the names the CLI takes.  The
-    Q-agent trains on construction in ``training_episodes(train_steps,
-    episode_steps)`` episodes of ``episode_steps`` steps; the random agent is
-    seeded by the training seed."""
+    """Factories for the bundled agents, keyed by each agent's ``name``, the
+    names the CLI takes.  The Q-agent trains on construction in
+    ``training_episodes(train_steps, episode_steps)`` episodes of
+    ``episode_steps`` steps; the random agent is seeded by the training seed."""
     episodes = training_episodes(train_steps, episode_steps)
 
-    def rba(config: EnvConfig, train_seed: int) -> Agent:
-        return RuleBasedAgent(config)
-
     def qtable(config: EnvConfig, train_seed: int) -> Agent:
-        agent = QLearningAgent(config.variant, seed=train_seed)
-        return agent.train(config, episodes, episode_steps)
+        return QLearningAgent(config.variant, seed=train_seed).train(config, episodes, episode_steps)
 
-    def random(config: EnvConfig, train_seed: int) -> Agent:
-        return RandomAgent(config.variant, seed=train_seed)
-
-    return {"rba": rba, "qtable": qtable, "random": random}
+    return {
+        RuleBasedAgent.name: lambda config, train_seed: RuleBasedAgent(config),
+        QLearningAgent.name: qtable,
+        RandomAgent.name: lambda config, train_seed: RandomAgent(config.variant, seed=train_seed),
+    }
 
 
 @dataclass(frozen=True, slots=True)

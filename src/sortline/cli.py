@@ -8,6 +8,8 @@ from pathlib import Path
 
 from .agents import QLearningAgent
 from .bench import (
+    EPISODE_STEPS,
+    TRAIN_STEPS,
     default_agent_factories,
     export_trace,
     run_benchmark,
@@ -38,6 +40,11 @@ def _add_config_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **CONFIG_FLAGS[flag])
 
 
+def _add_training_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--train-steps", type=int, default=TRAIN_STEPS)
+    parser.add_argument("--episode-steps", type=int, default=EPISODE_STEPS)
+
+
 def _config_from_args(args: argparse.Namespace) -> EnvConfig:
     config = load_config_file(args.config) if args.config else EnvConfig()
     overrides = {o["dest"]: getattr(args, o["dest"], None) for o in CONFIG_FLAGS.values()}
@@ -45,7 +52,7 @@ def _config_from_args(args: argparse.Namespace) -> EnvConfig:
 
 
 def _make_agent(args: argparse.Namespace, config: EnvConfig):
-    if args.agent != "qtable":
+    if args.agent != QLearningAgent.name:
         return default_agent_factories()[args.agent](config, config.seed)
     if not args.table:
         raise ConfigError("--agent qtable needs --table FILE (see the train command)")
@@ -68,9 +75,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    train = default_agent_factories(args.train_steps, args.episode_steps)["qtable"]
-    agent = train(config, config.seed)
-    agent.save(args.out)
+    train = default_agent_factories(args.train_steps, args.episode_steps)[QLearningAgent.name]
+    train(config, config.seed).save(args.out)
     episodes = training_episodes(args.train_steps, args.episode_steps)
     print(
         f"trained {episodes} episodes x {args.episode_steps} steps "
@@ -140,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = commands.add_parser("train", help="train a Q-table and save it")
     # Training sets its own episode length.
     _add_config_flags(train, "--env", "--seed", "--input", "--noise", "--penalty")
-    train.add_argument("--train-steps", type=int, default=100_000)
-    train.add_argument("--episode-steps", type=int, default=250)
+    _add_training_flags(train)
     train.add_argument("--out", default="qtable.txt")
     train.set_defaults(func=cmd_train)
 
@@ -153,8 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     benchmark.add_argument("--seeds", type=int, default=10, help="number of evaluation seeds")
     benchmark.add_argument("--seed-base", type=int, default=1000, help="first evaluation seed")
     benchmark.add_argument("--steps", type=int, default=50, help="evaluation episode length")
-    benchmark.add_argument("--train-steps", type=int, default=100_000)
-    benchmark.add_argument("--episode-steps", type=int, default=250)
+    _add_training_flags(benchmark)
     benchmark.add_argument("--agents", default="rba,qtable", help="comma-separated agent names")
     benchmark.add_argument("--out", metavar="FILE", help="also write one JSON record per line")
     benchmark.set_defaults(func=cmd_benchmark)

@@ -159,7 +159,7 @@ def config_from_mapping(mapping: Mapping[str, Any], base: EnvConfig | None = Non
     return replace(base if base is not None else EnvConfig(), **updates)
 
 
-def load_config_file(path: str | Path, base: EnvConfig | None = None) -> EnvConfig:
+def load_config_file(path: str | Path) -> EnvConfig:
     """Read ``key = value`` lines (# starts a comment; each key once) into a config."""
     mapping: dict[str, str] = {}
     content = Path(path).read_text(encoding="utf-8-sig")  # utf-8-sig drops a leading byte-order mark
@@ -173,4 +173,4 @@ def load_config_file(path: str | Path, base: EnvConfig | None = None) -> EnvConf
         if key in mapping:
             raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
         mapping[key] = value
-    return config_from_mapping(mapping, base)
+    return config_from_mapping(mapping)

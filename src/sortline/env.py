@@ -18,6 +18,7 @@ from .rng import INPUT_STREAM, OBSERVATION_STREAM, SORTING_STREAM, make_stream
 from .sorting import (
     apply_mode,
     base_accuracy,
+    clamp01,
     classify_ratio,
     deterministic_accuracy,
     occupancy,
@@ -63,12 +64,6 @@ class StepResult(NamedTuple):
     reward: float
     done: bool
     info: dict[str, Any]
-
-
-def apply_observation_noise(total: float, u: float) -> float:
-    """Multiplicative perturbation of a normalized total, clamped to [0, 1]."""
-    observed = total * (1.0 + u)
-    return 0.0 if observed < 0.0 else 1.0 if observed > 1.0 else observed
 
 
 class SortingLineEnv:
@@ -123,7 +118,7 @@ class SortingLineEnv:
             self._input_occupancy = occ = occupancy(mix)
             category = classify_ratio(mix) if self.config.variant is EnvVariant.ADVANCED else None
             # Built in C by tuple.__new__, as is StepResult: NamedTuple's generated __new__ runs Python.
-            self._obs = tuple.__new__(Observation, (apply_observation_noise(occ, u), category))
+            self._obs = tuple.__new__(Observation, (clamp01(occ * (1.0 + u)), category))
         return self._obs
 
     def step(self, action: Action) -> StepResult:
@@ -138,14 +133,13 @@ class SortingLineEnv:
         """
         state = self._state or self.state  # the property raises before reset()
         config = self.config
+        validate_action(action, config.variant)  # before the end check; Action checked the speed
         if state.step_count >= config.episode_length:
             raise EpisodeDoneError("episode is finished; call reset()")
-        validate_action(action, config.variant)  # the mode; the speed was checked when built
         speed, mode = action.speed_index, action.mode
         occ, correct = self._input_occupancy, self._obs.ratio_category  # of the next belt batch
 
-        if state.machine != EMPTY_MIX:
-            sort_transfer(state.machine, state.machine_accuracy, state.storage)
+        sort_transfer(state.machine, state.machine_accuracy, state.storage)
 
         state.machine = state.belt
         state.machine_accuracy = state.accuracy

@@ -27,10 +27,10 @@ Error codes: BAD_REQUEST (malformed, non-UTF-8 or too deeply nested line, a
 line longer than 64 KiB, or unknown type), BAD_CONFIG (``config`` not an
 object or null, unknown key, a value that is malformed, non-finite or out of
 range, an integer field such as ``seed`` given a non-integral number, or
-``r_acc + r_speed`` not finite), BAD_ACTION (includes a ``mode`` that is not
-a mode name), NO_EPISODE (step before any reset), EPISODE_DONE, INTERNAL (a
-server fault or a non-finite response; the traceback goes to stderr).  Errors
-leave the session usable.
+``r_acc + r_speed`` not finite), BAD_ACTION (a bad speed or ``mode``, even
+after the episode's end), NO_EPISODE (step before any reset), EPISODE_DONE,
+INTERNAL (a server fault or a non-finite response; the traceback goes to
+stderr).  Errors leave the session usable.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ def _action_from_payload(payload: Any) -> Action:
     if not isinstance(payload, dict) or "speed" not in payload:
         raise ValueError("action must be an object with a 'speed' key")
     mode = payload.get("mode")
-    # Built before the step, so a bad speed or mode name is BAD_ACTION even after the episode's end.
     return Action(payload["speed"], SortingMode.from_name(mode) if mode is not None else None)
 
 
@@ -191,7 +190,7 @@ class EnvServer(socketserver.ThreadingTCPServer):
         return self.server_address[1]
 
 
-def serve(config: EnvConfig, host: str = "127.0.0.1", port: int = 5555) -> None:
+def serve(config: EnvConfig, host: str, port: int) -> None:
     """Run a server until SIGINT/SIGTERM, then shut down cleanly."""
     with EnvServer((host, port), config) as server:
         def stop(_signum, _frame):

@@ -19,7 +19,7 @@ INCORRECT_MODE_MALUS = 0.10
 POSITIVE_RATIO = 3.0
 
 
-def _clamp01(x: float) -> float:
+def clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
@@ -37,14 +37,14 @@ def deterministic_accuracy(speed_index: int, occ: float, config: EnvConfig) -> f
     limit = config.occupancy_limits[speed_index - 1]  # config.limit_for_speed(speed_index)
     if occ <= limit:
         return 1.0
-    return _clamp01(1.0 - (occ - limit) * config.abatement)
+    return clamp01(1.0 - (occ - limit) * config.abatement)
 
 
 def base_accuracy(speed_index: int, occ: float, config: EnvConfig, stream: random.Random) -> float:
     """Accuracy in the basic variant: the deterministic surface minus one
     uniform noise draw from ``base_noise_range``, clamped to [0, 1]."""
     noise = stream.uniform(*config.base_noise_range)
-    return _clamp01(deterministic_accuracy(speed_index, occ, config) - noise)
+    return clamp01(deterministic_accuracy(speed_index, occ, config) - noise)
 
 
 def classify_ratio(mix: MaterialMix) -> SortingMode:
@@ -81,7 +81,7 @@ def apply_mode(
     else:
         adjusted = max(alpha - INCORRECT_MODE_MALUS, 0.0)
         noise = stream.uniform(*config.incorrect_mode_noise_range)
-    return _clamp01(adjusted - noise)
+    return clamp01(adjusted - noise)
 
 
 def sort_transfer(
@@ -89,18 +89,17 @@ def sort_transfer(
 ) -> tuple[tuple[float, float], StorageTally]:
     """Split the machine contents between the two containers at accuracy ``alpha``.
 
-    Returns the container totals as a plain ``(a, b)`` pair (container A first)
-    and the batch's tally: ``into``, with the batch's four parts added in place,
-    or else a fresh tally of the batch alone.  The transfer conserves mass.
+    Adds the batch's four parts in place into ``into``, or into a fresh tally,
+    and returns the container totals as a plain ``(a, b)`` pair (container A
+    first) with that tally.  The transfer conserves mass.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"accuracy out of range: {alpha}")
+    into = StorageTally() if into is None else into
     miss = 1.0 - alpha
     a, b = machine
     a_true, a_false = alpha * a, miss * b
     b_true, b_false = alpha * b, miss * a
-    if into is None:
-        return (a_true + a_false, b_true + b_false), StorageTally(a_true, a_false, b_true, b_false)
     into.a_true += a_true
     into.a_false += a_false
     into.b_true += b_true

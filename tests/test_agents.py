@@ -121,6 +121,23 @@ class TestExpectedReward:
         with pytest.raises(ValueError, match="observes no category"):
             best_action(config, 0.3, category)
 
+    @pytest.mark.parametrize("config, action, category", [
+        (ZERO_NOISE, Action(5), None),
+        (ZERO_NOISE_ADV, Action(5, SortingMode.BASIC), SortingMode.POSITIVE),
+    ])
+    @pytest.mark.parametrize("occ", [7.0, -3.0, math.nan])
+    def test_an_occupancy_outside_the_unit_interval_is_refused(self, config, action, category, occ):
+        with pytest.raises(ValueError, match=r"occupancy outside \[0, 1\]"):
+            expected_immediate_reward(config, occ, action, category)
+        with pytest.raises(ValueError, match=r"occupancy outside \[0, 1\]"):
+            best_action(config, occ, category)
+
+    @pytest.mark.parametrize("config, category", [(ZERO_NOISE, None), (ZERO_NOISE_ADV, SortingMode.NEGATIVE)])
+    @pytest.mark.parametrize("occ", [0.0, 1.0])
+    def test_the_unit_interval_edges_still_price(self, config, category, occ):
+        action = best_action(config, occ, category)
+        assert math.isfinite(expected_immediate_reward(config, occ, action, category))
+
     def test_valid_calls_keep_their_values(self):
         advanced = EnvConfig(variant=EnvVariant.ADVANCED)
         prices = [
@@ -388,6 +405,13 @@ class TestQLearningAgent:
         agent = QLearningAgent(EnvVariant.BASIC, seed=0)
         with pytest.raises(ConfigError):
             agent.train(EnvConfig(variant=EnvVariant.ADVANCED), episodes=1, steps_per_episode=5)
+
+    @pytest.mark.parametrize("episodes", [-3, 0, 2.5, 2.0, True, "2"])
+    def test_training_needs_a_whole_positive_episode_count(self, episodes):
+        agent = QLearningAgent(EnvVariant.BASIC, seed=0)
+        with pytest.raises(ConfigError, match="training episodes must be an int of at least 1"):
+            agent.train(EnvConfig(), episodes=episodes, steps_per_episode=50)
+        assert agent.visits.sum() == 0 and agent.epsilon() == 0.05
 
     @pytest.mark.parametrize("discount", [math.nan, math.inf, -0.1, 1.5])
     def test_discount_must_lie_in_the_unit_interval(self, discount):

@@ -381,6 +381,12 @@ class TestBenchmark:
         assert all(r.seeds == 3 for r in report.records)
         assert report.records == self.tiny_report().records
 
+    def test_factories_are_keyed_by_their_agents_names(self):
+        factories = default_agent_factories(train_steps=100, episode_steps=50)
+        assert list(factories) == ["rba", "qtable", "random"]
+        for name, factory in factories.items():
+            assert factory(EnvConfig(), 1).name == name
+
     def test_seed_hygiene(self):
         setups = standard_setups(EnvVariant.BASIC)
         factories = {"rba": lambda config, seed: RuleBasedAgent(config)}

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import sortline
-from sortline.bench import TRACE_COLUMNS
-from sortline.cli import main
+from sortline.bench import EPISODE_STEPS, TRACE_COLUMNS, TRAIN_STEPS
+from sortline.cli import build_parser, main
 from sortline.server import EnvClient
 
 
@@ -134,6 +134,12 @@ class TestBenchmark:
     def test_a_repeated_agent_fails_cleanly(self, capsys):
         assert run_cli("benchmark", "--agents", "rba,random,rba") == 1
         assert capsys.readouterr().err.startswith("error: benchmark agents must be distinct")
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_training_flags_default_to_the_bench_budget(command):
+    args = build_parser().parse_args([command])
+    assert (args.train_steps, args.episode_steps) == (TRAIN_STEPS, EPISODE_STEPS) == (100_000, 250)
 
 
 @pytest.mark.parametrize("command", ["train", "benchmark"])

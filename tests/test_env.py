@@ -8,9 +8,10 @@ import pytest
 
 from sortline.bench import standard_setups
 from sortline.config import ConfigError, EnvConfig
-from sortline.env import EpisodeDoneError, SortingLineEnv, StepResult, apply_observation_noise
+from sortline.env import EpisodeDoneError, SortingLineEnv, StepResult
 from sortline.rng import OBSERVATION_STREAM, make_stream
 from sortline.sorting import (
+    clamp01,
     classify_ratio,
     deterministic_accuracy,
     occupancy,
@@ -95,10 +96,10 @@ class TestReset:
 
 class TestObservationNoise:
     def test_perturbation_math(self):
-        assert apply_observation_noise(0.5, 0.0) == 0.5
-        assert apply_observation_noise(0.5, 0.1) == pytest.approx(0.55)
-        assert apply_observation_noise(0.9, 0.3) == 1.0  # clamped high
-        assert apply_observation_noise(0.5, -1.5) == 0.0  # clamped low
+        assert clamp01(0.5 * (1.0 + 0.0)) == 0.5
+        assert clamp01(0.5 * (1.0 + 0.1)) == pytest.approx(0.55)
+        assert clamp01(0.9 * (1.0 + 0.3)) == 1.0  # clamped high
+        assert clamp01(0.5 * (1.0 + -1.5)) == 0.0  # clamped low
 
     def test_zero_level_observation_is_exact(self):
         env = SortingLineEnv(EnvConfig())
@@ -154,7 +155,7 @@ class TestObservationNoise:
                 inputs.append(env.state.input)
             for obs, mix in zip(observations, inputs):
                 u = reference.uniform(-level, level)
-                assert obs.input_total == apply_observation_noise(occupancy(mix), u), seed
+                assert obs.input_total == clamp01(occupancy(mix) * (1.0 + u)), seed
 
 
 class TestStepPipeline:
@@ -202,23 +203,19 @@ class TestStepPipeline:
         assert storage.b_false == pytest.approx(10.0)
 
     def test_storage_folds_the_batch_tallies_in_order(self):
-        """In every standard cell, a whole episode's storage is the pure
-        tallies of the batches that reached the machine, added in order."""
+        """In every standard cell, a whole episode's storage is the fresh
+        tallies of the machine's batches, the first two empty ones included,
+        added in order."""
         rng = random.Random(21)
         for variant in EnvVariant:
             for config in standard_setups(variant).values():
                 env = SortingLineEnv(config)
                 env.reset(seed=rng.randrange(1000))
                 want = [0.0, 0.0, 0.0, 0.0]
-                sorted_batches = 0
                 for _ in range(config.episode_length):
-                    machine, alpha = env.state.machine, env.state.machine_accuracy
-                    if machine != EMPTY_MIX:
-                        _, batch = sort_transfer(machine, alpha)
-                        want = [w + x for w, x in zip(want, astuple(batch))]
-                        sorted_batches += 1
+                    _, batch = sort_transfer(env.state.machine, env.state.machine_accuracy)
+                    want = [w + x for w, x in zip(want, astuple(batch))]
                     env.step(action_from_index(rng.randrange(action_count(variant)), variant))
-                assert sorted_batches >= config.episode_length - 2
                 assert [x.hex() for x in astuple(env.state.storage)] == [x.hex() for x in want]
 
     def test_reward_matches_the_formula_and_penalty_rules(self):
@@ -316,6 +313,21 @@ class TestEpisodeBoundary:
         assert flags == [False, False, False, False, True]
         with pytest.raises(EpisodeDoneError):
             env.step(Action(2))
+
+    @pytest.mark.parametrize("variant", list(EnvVariant))
+    def test_a_bad_mode_is_refused_before_the_end_check(self, variant):
+        """A mode the variant does not take is a ValueError, ended episode or not."""
+        env = SortingLineEnv(EnvConfig(variant=variant, episode_length=1))
+        env.reset(seed=3)
+        good = ACTIONS[variant][0]
+        bad = Action(2) if variant is EnvVariant.ADVANCED else Action(2, SortingMode.POSITIVE)
+        with pytest.raises(ValueError, match="mode"):
+            env.step(bad)
+        assert env.step(good).done  # the episode's one step
+        with pytest.raises(ValueError, match="mode"):
+            env.step(bad)
+        with pytest.raises(EpisodeDoneError):
+            env.step(good)
 
     def test_reset_reopens_the_episode(self):
         env = SortingLineEnv(EnvConfig(episode_length=1))

@@ -115,9 +115,9 @@ class TestSession:
         assert response["code"] == "EPISODE_DONE"
 
     def test_a_bad_speed_is_refused_before_the_end_check(self):
-        """The action is built, and its speed checked, before the step: a bad
-        speed or mode name is BAD_ACTION even after the episode's end, while a
-        mode the variant does not take is checked by the step, after it."""
+        """Every bad action is BAD_ACTION, before or after the episode's end:
+        a bad speed, a bad mode name and a mode the variant does not take.
+        Only a valid action after the last step is EPISODE_DONE."""
         session = Session(EnvConfig())
         session.handle({"type": "reset", "seed": 1, "config": {"episode_length": 2}})
         bad_speed = {"type": "step", "action": {"speed": True}}
@@ -126,11 +126,11 @@ class TestSession:
         for _ in range(2):
             assert session.handle({"type": "step", "action": {"speed": 1}})[0]["type"] == "state"
         assert session.handle(bad_speed) == (refused, False)
-        response, _ = session.handle({"type": "step", "action": {"speed": 5, "mode": "sideways"}})
-        assert response["code"] == "BAD_ACTION"
-        for action in ({"speed": 1}, {"speed": 5, "mode": "positive"}):
+        for action in ({"speed": 5, "mode": "sideways"}, {"speed": 5, "mode": "positive"}):
             response, _ = session.handle({"type": "step", "action": action})
-            assert response["code"] == "EPISODE_DONE"
+            assert response["code"] == "BAD_ACTION"
+        response, _ = session.handle({"type": "step", "action": {"speed": 1}})
+        assert response["code"] == "EPISODE_DONE"
 
     @pytest.mark.parametrize(
         "action",

@@ -181,27 +181,27 @@ class TestSortTransfer:
         assert purity(tally) == pytest.approx(alpha, abs=1e-12)
 
     def test_adding_in_place_matches_the_batch_tally_added(self):
-        """The in-place form adds exactly the parts of the pure form's tally,
-        in field order, and returns the same container pair, bit for bit."""
-        parts = (0.0, 1e-9, 1 / 3, 12.5, 49.99, 60.0, 100.0)
+        """The batch's four parts, written out, are added in field order to the
+        tally given, bit for bit; the fresh form makes the same adds into a zero
+        tally, so a -0.0 part lands as +0.0.  The pair is the containers' sums."""
+        parts = (-0.0, 0.0, 1e-9, 1 / 3, 12.5, 49.99, 60.0, 100.0)
         alphas = (0.0, 1e-12, 0.1, 1 / 3, 0.5, 0.65, 0.8, 0.999999, 1.0)
         for a, b, alpha in itertools.product(parts, parts, alphas):
             if a + b > STAGE_CAPACITY:
                 continue
             mix = MaterialMix(a, b)
-            for start in ((0.0, 0.0, 0.0, 0.0), (40.1, 7.3, 1e-7, 250.0 / 3)):
-                pair, batch = sort_transfer(mix, alpha)
-                want = StorageTally(*start)
-                want.a_true += batch.a_true
-                want.a_false += batch.a_false
-                want.b_true += batch.b_true
-                want.b_false += batch.b_false
-                storage = StorageTally(*start)
+            batch = (alpha * a, (1.0 - alpha) * b, alpha * b, (1.0 - alpha) * a)
+            pair = [(batch[0] + batch[1]).hex(), (batch[2] + batch[3]).hex()]
+            for start in (None, (0.0, 0.0, 0.0, 0.0), (40.1, 7.3, 1e-7, 250.0 / 3)):
+                storage = None if start is None else StorageTally(*start)
                 got_pair, got = sort_transfer(mix, alpha, storage)
-                assert got is storage
-                assert type(pair) is tuple and type(got_pair) is tuple
-                assert [x.hex() for x in got_pair] == [x.hex() for x in pair]
-                assert [x.hex() for x in astuple(got)] == [x.hex() for x in astuple(want)]
+                assert storage is None or got is storage
+                want = [s + x for s, x in zip(start or (0.0, 0.0, 0.0, 0.0), batch)]
+                assert type(got_pair) is tuple
+                assert [x.hex() for x in got_pair] == pair
+                assert [x.hex() for x in astuple(got)] == [x.hex() for x in want]
+        _, fresh = sort_transfer(MaterialMix(-0.0, 0.0), 1.0)
+        assert fresh.a_true.hex() == (0.0).hex()
 
 
 class TestPurity:
