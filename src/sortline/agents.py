@@ -8,11 +8,10 @@ category as well.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, EnvConfig
-from .env import SortingLineEnv, StepResult
+from .config import ConfigError, EnvConfig, check_field
+from .env import StepResult, run_training_episode
 from .rng import AGENT_STREAM, make_stream
 from .sorting import apply_mode, base_accuracy, deterministic_accuracy, step_reward
 from .types import ACTIONS, MODES, Action, EnvVariant, Observation, SortingMode, validate_action
@@ -249,7 +248,7 @@ class QLearningAgent(Agent):
         self._steps_done += 1
 
     def train(self, config: EnvConfig, episodes: int, steps_per_episode: int) -> "QLearningAgent":
-        """Run seeded training episodes against a fresh environment.
+        """Run seeded training episodes through ``env.run_training_episode``.
 
         Episode seeds come from the agent's exploration stream, so the whole
         run is a deterministic function of the agent seed and the config.
@@ -258,17 +257,15 @@ class QLearningAgent(Agent):
             raise ConfigError("agent and config variants differ")
         if type(episodes) is not int or episodes < 1:
             raise ConfigError(f"training episodes must be an int of at least 1, got {episodes!r}")
-        env = SortingLineEnv(replace(config, episode_length=steps_per_episode))
-        self._planned_steps = episodes * steps_per_episode
+        steps = check_field("episode_length", steps_per_episode)  # as an env's episode would check it
+        if steps < 1:
+            raise ConfigError(f"training episode length must be at least 1 step, got {steps}")
+        self._planned_steps = episodes * steps
         self._steps_done = 0
         self.learning = True
         try:
             for _ in range(episodes):
-                obs = env.reset(seed=self._stream.getrandbits(63))
-                for _ in range(steps_per_episode):
-                    result = env.step(self.act(obs))
-                    self.notify(result)
-                    obs = result.observation
+                run_training_episode(config, self, self._stream.getrandbits(63), steps)
         finally:
             self.learning = False
         return self

@@ -283,27 +283,28 @@ def run_benchmark(
     setups: Mapping[str, EnvConfig],
     agent_factories: Mapping[str, AgentFactory],
     seeds: Sequence[int],
-    steps: int = 50,
+    steps: int | None = None,
 ) -> BenchmarkReport:
     """Train each agent once per setup, evaluate on every seed, aggregate.
 
     Evaluation order is fixed (setups in mapping order, seeds sorted), so the
     report is a deterministic function of its arguments.  Training seeds are
     derived from the first seed in the sorted list together with the setup
-    and agent names.  The seeds and ``steps`` are checked as config fields
-    before any agent is built.
+    and agent names.  Episodes last ``steps``, or each setup's
+    ``episode_length`` if it is None.  The seeds and ``steps`` are checked as
+    config fields before any agent is built.
     """
     ordered_seeds = sorted([check_field("seed", seed) for seed in seeds])
     if len(set(ordered_seeds)) != len(ordered_seeds):
         raise ConfigError("benchmark seeds must be distinct")
     if not ordered_seeds:
         raise ConfigError("benchmark needs at least one seed")
-    steps = check_field("episode_length", steps)  # as run_episode checks it, but before training
-    if steps < 1:
+    # Checked as run_episode checks it, but before training.
+    if steps is not None and check_field("episode_length", steps) < 1:
         raise ConfigError(f"evaluation episode length must be at least 1 step, got {steps}")
     report = BenchmarkReport()
     for setup_name, config in setups.items():
-        eval_config = config if steps == config.episode_length else replace(config, episode_length=steps)
+        eval_config = config if steps in (None, config.episode_length) else replace(config, episode_length=steps)
         for agent_name, factory in agent_factories.items():
             train_seed = stream_seed(ordered_seeds[0], f"train:{setup_name}:{agent_name}")
             agent = factory(config, train_seed)

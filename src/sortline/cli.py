@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(benchmark, "--env")
     benchmark.add_argument("--seeds", type=int, default=10, help="number of evaluation seeds")
     benchmark.add_argument("--seed-base", type=int, default=1000, help="first evaluation seed")
-    benchmark.add_argument("--steps", type=int, default=50, help="evaluation episode length")
+    benchmark.add_argument("--steps", type=int, help="evaluation episode length (default: the config's)")
     _add_training_flags(benchmark)
     benchmark.add_argument("--agents", default="rba,qtable", help="comma-separated agent names")
     benchmark.add_argument("--out", metavar="FILE", help="also write one JSON record per line")

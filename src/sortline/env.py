@@ -9,6 +9,7 @@ accuracy the agent bought for it.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -32,6 +33,7 @@ from .types import (
     EnvVariant,
     MaterialMix,
     Observation,
+    SortingMode,
     StorageTally,
     validate_action,
 )
@@ -66,6 +68,57 @@ class StepResult(NamedTuple):
     info: dict[str, Any]
 
 
+def open_streams(config: EnvConfig, root: int) -> tuple[InputGenerator, random.Random, random.Random]:
+    """An episode's input generator, sorting stream and observation stream for root seed ``root``."""
+    generator = make_generator(config.input_type, make_stream(root, INPUT_STREAM))
+    return generator, make_stream(root, SORTING_STREAM), make_stream(root, OBSERVATION_STREAM)
+
+
+def observe_mix(mix: MaterialMix, config: EnvConfig, stream: random.Random) -> tuple[Observation, float]:
+    """An input mix's observation (its normalized total, perturbed by one multiplicative
+    uniform draw of ``stream``, plus its true ratio category in the advanced variant)
+    and the mix's occupancy."""
+    level = config.obs_noise_level
+    # uniform(-level, level) written out; level + level is exactly level - (-level).
+    u = -level + (level + level) * stream.random()
+    occ = occupancy(mix)
+    category = classify_ratio(mix) if config.variant is EnvVariant.ADVANCED else None
+    # Built in C by tuple.__new__, as is StepResult: NamedTuple's generated __new__ runs Python.
+    return tuple.__new__(Observation, (clamp01(occ * (1.0 + u)), category)), occ
+
+
+def price_step(
+    speed: int, mode: SortingMode | None, occ: float, correct: SortingMode | None,
+    config: EnvConfig, stream: random.Random, speed_changed: bool,
+) -> tuple[float, float]:
+    """The accuracy a belt batch of occupancy ``occ`` and true category ``correct``
+    gets at ``speed`` and ``mode`` (one draw of ``stream``), and the step's reward."""
+    if mode is None:  # a valid action carries a mode exactly in the advanced variant
+        accuracy = base_accuracy(speed, occ, config, stream)
+    else:
+        accuracy = apply_mode(deterministic_accuracy(speed, occ, config), mode, correct, config, stream)
+    return accuracy, step_reward(accuracy, speed, config, speed_changed)
+
+
+def run_training_episode(config: EnvConfig, agent: Any, root: int, steps: int) -> None:
+    """One ``steps``-step episode from root seed ``root`` through ``agent.act`` and
+    ``agent.notify``, with the draws, observations and rewards of ``reset`` and ``step``
+    but no stages, storage, purity or info, which a learner does not read, and no
+    action check: ``agent`` must act in ``config``'s variant."""
+    generator, sorting_stream, obs_stream = open_streams(config, root)
+    draw, act, notify, new = generator.draw, agent.act, agent.notify, tuple.__new__
+    obs, occ = observe_mix(draw(), config, obs_stream)
+    last = 0
+    for step in range(1, steps + 1):
+        action = act(obs)
+        speed, correct, mix = action.speed_index, obs.ratio_category, draw()
+        changed = step > 1 and speed != last
+        _, reward = price_step(speed, action.mode, occ, correct, config, sorting_stream, changed)
+        last = speed
+        obs, occ = observe_mix(mix, config, obs_stream)
+        notify(new(StepResult, (obs, reward, step == steps, {})))
+
+
 class SortingLineEnv:
     """Deterministic, seedable simulator of the two-material sorting line."""
 
@@ -87,9 +140,7 @@ class SortingLineEnv:
     def reset(self, seed: int | None = None) -> Observation:
         """Start a fresh episode; ``seed`` overrides the configured root seed."""
         root = self.config.seed if seed is None else seed
-        self._generator = make_generator(self.config.input_type, make_stream(root, INPUT_STREAM))
-        self._sorting_stream = make_stream(root, SORTING_STREAM)
-        self._obs_stream = make_stream(root, OBSERVATION_STREAM)
+        self._generator, self._sorting_stream, self._obs_stream = open_streams(self.config, root)
         self._obs = None
         self._state = EnvState(
             input=self._generator.draw(),
@@ -104,21 +155,12 @@ class SortingLineEnv:
         return self.observe()
 
     def observe(self) -> Observation:
-        """Observation of the input stage: the normalized total, perturbed by
-        one multiplicative uniform draw, plus the true ratio category in the
-        advanced variant.  Consumes one draw per fresh input, even at zero
-        noise level; repeated calls within a step return the same observation.
-        A batch's occupancy and category are computed once, here, when it is
-        observed as input; step() reuses both when the batch reaches the belt."""
+        """Observation of the input stage, taken by ``observe_mix`` once per fresh
+        input (one draw, even at zero noise level): here after reset, and by step()
+        for the input it draws.  Repeated calls return the same observation."""
         if self._obs is None:
             mix = (self._state or self.state).input  # the property raises before reset()
-            level = self.config.obs_noise_level
-            # uniform(-level, level) written out; level + level is exactly level - (-level).
-            u = -level + (level + level) * self._obs_stream.random()
-            self._input_occupancy = occ = occupancy(mix)
-            category = classify_ratio(mix) if self.config.variant is EnvVariant.ADVANCED else None
-            # Built in C by tuple.__new__, as is StepResult: NamedTuple's generated __new__ runs Python.
-            self._obs = tuple.__new__(Observation, (clamp01(occ * (1.0 + u)), category))
+            self._obs, self._input_occupancy = observe_mix(mix, self.config, self._obs_stream)
         return self._obs
 
     def step(self, action: Action) -> StepResult:
@@ -145,22 +187,11 @@ class SortingLineEnv:
         state.machine_accuracy = state.accuracy
         state.belt = state.input
         state.input = self._generator.draw()
-        self._obs = None
 
         speed_changed = state.step_count > 0 and speed != state.speed_index
         state.speed_index = speed
-
-        # A valid action carries a mode exactly in the advanced variant.
-        if mode is None:
-            mode_correct = None
-            accuracy = base_accuracy(speed, occ, config, self._sorting_stream)
-        else:
-            mode_correct = mode is correct
-            pre_noise = deterministic_accuracy(speed, occ, config)
-            accuracy = apply_mode(pre_noise, mode, correct, config, self._sorting_stream)
+        accuracy, reward = price_step(speed, mode, occ, correct, config, self._sorting_stream, speed_changed)
         state.accuracy = accuracy
-
-        reward = step_reward(accuracy, speed, config, speed_changed)
 
         state.step_count = step_count = state.step_count + 1
         info = {
@@ -168,6 +199,7 @@ class SortingLineEnv:
             "occupancy": occ,
             "speed": speed / 10.0,  # speed_fraction(speed)
             "purity": purity(state.storage),
-            "mode_correct": mode_correct,
+            "mode_correct": None if mode is None else mode is correct,
         }
-        return tuple.__new__(StepResult, (self.observe(), reward, step_count >= config.episode_length, info))
+        self._obs, self._input_occupancy = observe_mix(state.input, config, self._obs_stream)
+        return tuple.__new__(StepResult, (self._obs, reward, step_count >= config.episode_length, info))

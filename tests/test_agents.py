@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sortline
-from sortline import agents, sorting
+from sortline import agents, env, sorting
 from sortline.agents import (
     BINS,
     LEARNING_RATE,
@@ -413,6 +413,17 @@ class TestQLearningAgent:
             agent.train(EnvConfig(), episodes=episodes, steps_per_episode=50)
         assert agent.visits.sum() == 0 and agent.epsilon() == 0.05
 
+    @pytest.mark.parametrize("steps", [0, -1, True, 2.5])
+    def test_training_needs_a_whole_positive_episode_length(self, steps):
+        agent = QLearningAgent(EnvVariant.BASIC, seed=0)
+        with pytest.raises(ConfigError, match="episode_length|at least 1 step"):
+            agent.train(EnvConfig(), episodes=2, steps_per_episode=steps)
+        assert agent.visits.sum() == 0 and agent.epsilon() == 0.05
+
+    def test_an_integral_float_episode_length_runs_as_an_int(self):
+        agent = QLearningAgent(EnvVariant.BASIC, seed=1).train(EnvConfig(), episodes=2, steps_per_episode=3.0)
+        assert agent.visits.sum() == 6 and type(agent._planned_steps) is int
+
     @pytest.mark.parametrize("discount", [math.nan, math.inf, -0.1, 1.5])
     def test_discount_must_lie_in_the_unit_interval(self, discount):
         with pytest.raises(ValueError):
@@ -429,6 +440,62 @@ class TestQLearningAgent:
         agent = QLearningAgent(EnvVariant.BASIC, seed=17)
         agent.train(EnvConfig(), episodes=20, steps_per_episode=50)
         assert agent.visits[3:17].min() > 0
+
+
+def reference_train(agent, config, episodes, steps):
+    """``QLearningAgent.train`` as a loop over ``SortingLineEnv.step``; returns
+    each episode's input, sorting and observation stream states at its end."""
+    line = env.SortingLineEnv(replace(config, episode_length=steps))
+    agent._planned_steps = episodes * steps
+    agent._steps_done = 0
+    agent.learning = True
+    states = []
+    for _ in range(episodes):
+        obs = line.reset(seed=agent._stream.getrandbits(63))
+        for _ in range(steps):
+            result = line.step(agent.act(obs))
+            agent.notify(result)
+            obs = result.observation
+        states.append(tuple(s.getstate() for s in (line._generator._stream, line._sorting_stream, line._obs_stream)))
+    agent.learning = False
+    return states
+
+
+class TestTrainingDriver:
+    """``train`` runs ``env.run_training_episode``; it must learn exactly what
+    stepping a ``SortingLineEnv`` through ``act`` and ``notify`` learns."""
+
+    CELLS = {f"{v.value}-{name}": cfg for v in EnvVariant for name, cfg in standard_setups(v).items()}
+
+    @pytest.mark.parametrize("config", CELLS.values(), ids=CELLS.keys())
+    @pytest.mark.parametrize("seed", [3, 71])
+    @pytest.mark.parametrize("steps", [1, 7, 250])
+    @pytest.mark.parametrize("discount", [0.0, 0.9, 1.0])
+    def test_the_driver_matches_stepping_the_env(self, monkeypatch, config, seed, steps, discount):
+        episodes = 2
+        opened = []
+
+        def recording_open_streams(*args):
+            opened.append(env_open_streams(*args))
+            return opened[-1]
+
+        env_open_streams = env.open_streams
+        monkeypatch.setattr(env, "open_streams", recording_open_streams)
+        driven = QLearningAgent(config.variant, discount=discount, seed=seed).train(config, episodes, steps)
+        monkeypatch.undo()
+        stepped = QLearningAgent(config.variant, discount=discount, seed=seed)
+        env_states = reference_train(stepped, config, episodes, steps)
+
+        assert driven._q == stepped._q
+        assert driven._visits == stepped._visits
+        assert driven._steps_done == stepped._steps_done == episodes * steps
+        assert driven._stream.getstate() == stepped._stream.getstate()
+        # The same number of draws from each env stream, episode by episode.
+        driver_states = [
+            (generator._stream.getstate(), sorting_stream.getstate(), obs_stream.getstate())
+            for generator, sorting_stream, obs_stream in opened
+        ]
+        assert driver_states == env_states
 
 
 class TestQTableFiles:

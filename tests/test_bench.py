@@ -395,7 +395,7 @@ class TestBenchmark:
         with pytest.raises(ConfigError):
             run_benchmark(setups, factories, seeds=[], steps=5)
 
-    @pytest.mark.parametrize("steps", [0, -3, True, 2.5, "5", None])
+    @pytest.mark.parametrize("steps", [0, -3, True, 2.5, "5"])
     def test_episode_length_is_checked_before_training(self, steps):
         def untrainable(config, seed):
             raise AssertionError("trained before the arguments were checked")
@@ -448,6 +448,22 @@ class TestBenchmark:
             ("C", 4.01, 0.85, 57.1, 94.3),
             ("D", 1.32, 0.62, 42.5, 96.1),
         ]
+
+    def test_the_default_evaluation_length_is_each_setups_own(self, monkeypatch):
+        factories = default_agent_factories(train_steps=500, episode_steps=50)
+        setups = standard_setups(EnvVariant.ADVANCED)
+        explicit = run_benchmark(setups, factories, seeds=[1, 2], steps=50)
+        constructions = []
+        original = EnvConfig.__post_init__
+        monkeypatch.setattr(EnvConfig, "__post_init__", lambda self: (constructions.append(1), original(self))[1])
+        assert run_benchmark(setups, factories, seeds=[1, 2]).records == explicit.records
+        assert constructions == []  # no evaluation config, and training builds none either
+        monkeypatch.undo()
+        short = standard_setups(EnvVariant.BASIC, base=EnvConfig(episode_length=7))
+        rba = {"rba": lambda config, seed: RuleBasedAgent(config)}
+        seven = run_benchmark(short, rba, seeds=[1, 2], steps=7).records
+        assert run_benchmark(short, rba, seeds=[1, 2]).records == seven
+        assert seven != run_benchmark(short, rba, seeds=[1, 2], steps=50).records
 
     def test_single_seed_has_zero_spread(self):
         setups = standard_setups(EnvVariant.BASIC)

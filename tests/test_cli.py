@@ -1,6 +1,7 @@
 """Command-line entry points, exercised in-process through main(), except
 ``serve``, which runs until signalled and so runs as a subprocess."""
 
+import hashlib
 import json
 import os
 import signal
@@ -89,6 +90,22 @@ class TestTrain:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"trained 2 episodes x 250 steps (500 total) -> {tmp_path / 'q.txt'}\n"
+
+    # SHA-256 of two trained table files, pinned when training stepped a SortingLineEnv.
+    @pytest.mark.parametrize("flags, digest", [
+        (
+            ["--input", "seasonal", "--noise", 0.3, "--penalty", 0.5],  # basic D
+            "86bce68fd7b6a8b9cd2e78f3c31c6462fa5e54c45e2ecb6c4f5cc58130e7dc68",
+        ),
+        (
+            ["--env", "advanced", "--input", "seasonal", "--penalty", 0.5],  # advanced B
+            "e07dc8a73b5ee2529ec2f6ce4436aba7520281d3f000da6c711a00c8038c3f82",
+        ),
+    ])
+    def test_trained_tables_are_pinned(self, tmp_path, flags, digest):
+        table = tmp_path / "q.txt"
+        assert run_cli("train", *flags, "--train-steps", 5000, "--seed", 7, "--out", table) == 0
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
 
     def test_variant_mismatch_is_reported(self, tmp_path, capsys):
         table = tmp_path / "basic.txt"
