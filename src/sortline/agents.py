@@ -11,9 +11,8 @@ import math
 from pathlib import Path
 
 from .config import ConfigError, EnvConfig, check_field
-from .env import StepResult, run_training_episode
+from .env import StepResult, price_step, run_training_episode
 from .rng import AGENT_STREAM, make_stream
-from .sorting import apply_mode, base_accuracy, deterministic_accuracy, step_reward
 from .types import ACTIONS, MODES, Action, EnvVariant, Observation, SortingMode, validate_action
 
 BINS = 20
@@ -38,6 +37,11 @@ class Agent:
 
     def notify(self, result: StepResult) -> None:
         """Learning agents update here; stateless agents ignore it."""
+
+
+def check_variant(agent: Agent, config: EnvConfig) -> None:
+    if agent.variant is not config.variant:
+        raise ConfigError(f"agent variant {agent.variant.value} does not match config {config.variant.value}")
 
 
 class RandomAgent(Agent):
@@ -70,7 +74,7 @@ def expected_immediate_reward(
     action: Action,
     category: SortingMode | None = None,
 ) -> float:
-    """One-step reward at the noise mean, with no change penalty.
+    """One-step reward at the noise mean, with no change penalty, by ``env.price_step``.
 
     In the advanced variant the observed ``category`` is taken to be the true
     regime, so a matching mode earns the bonus and a mismatch the malus.  An
@@ -80,17 +84,12 @@ def expected_immediate_reward(
         raise ValueError(f"occupancy outside [0, 1]: {occ}")
     validate_action(action, config.variant)
     _check_category(config.variant, category)
-    if config.variant is EnvVariant.ADVANCED:
-        pre_noise = deterministic_accuracy(action.speed_index, occ, config)
-        alpha = apply_mode(pre_noise, action.mode, category, config, _NoiseMean)
-    else:
-        alpha = base_accuracy(action.speed_index, occ, config, _NoiseMean)
-    return step_reward(alpha, action.speed_index, config, speed_changed=False)
+    return price_step(action.speed_index, action.mode, occ, category, config, _NoiseMean, False)[1]
 
 
 def _best_actions(config: EnvConfig, occ: float) -> dict[SortingMode | None, Action]:
     """``best_action`` for every category the variant observes, from one pricing
-    pass: ``apply_mode`` prices a mode only by whether it fits the category."""
+    pass: the reward model prices a mode only by whether it fits the category."""
     modes, actions = MODES[config.variant], ACTIONS[config.variant]
     n = len(modes)  # speed s's actions, in mode order, are actions[(s - 1) * n:s * n]
     # Priced for category modes[0], each speed's first action fits and its second, if any, misses.
@@ -253,8 +252,7 @@ class QLearningAgent(Agent):
         Episode seeds come from the agent's exploration stream, so the whole
         run is a deterministic function of the agent seed and the config.
         """
-        if config.variant is not self.variant:
-            raise ConfigError("agent and config variants differ")
+        check_variant(self, config)
         if type(episodes) is not int or episodes < 1:
             raise ConfigError(f"training episodes must be an int of at least 1, got {episodes!r}")
         steps = check_field("episode_length", steps_per_episode)  # as an env's episode would check it

@@ -11,7 +11,7 @@ from operator import attrgetter, ne
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .agents import Agent, QLearningAgent, RandomAgent, RuleBasedAgent
+from .agents import Agent, QLearningAgent, RandomAgent, RuleBasedAgent, check_variant
 from .config import ConfigError, EnvConfig, check_field
 from .env import SortingLineEnv
 from .rng import stream_seed
@@ -94,10 +94,7 @@ def run_episode(
     only for a different length: the env resets by seed, and the trace's
     digest is the config's under that seed.
     """
-    if agent.variant is not config.variant:
-        raise ConfigError(
-            f"agent variant {agent.variant.value} does not match config {config.variant.value}"
-        )
+    check_variant(agent, config)
     # Checked in field order, as construction checks them.
     length = config.episode_length if steps is None else check_field("episode_length", steps)
     seed = config.seed if seed is None else check_field("seed", seed)

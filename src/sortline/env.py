@@ -141,7 +141,6 @@ class SortingLineEnv:
         """Start a fresh episode; ``seed`` overrides the configured root seed."""
         root = self.config.seed if seed is None else seed
         self._generator, self._sorting_stream, self._obs_stream = open_streams(self.config, root)
-        self._obs = None
         self._state = EnvState(
             input=self._generator.draw(),
             belt=EMPTY_MIX,
@@ -152,15 +151,14 @@ class SortingLineEnv:
             machine_accuracy=1.0,
             step_count=0,
         )
+        self._obs, self._input_occupancy = observe_mix(self._state.input, self.config, self._obs_stream)
         return self.observe()
 
     def observe(self) -> Observation:
-        """Observation of the input stage, taken by ``observe_mix`` once per fresh
-        input (one draw, even at zero noise level): here after reset, and by step()
-        for the input it draws.  Repeated calls return the same observation."""
-        if self._obs is None:
-            mix = (self._state or self.state).input  # the property raises before reset()
-            self._obs, self._input_occupancy = observe_mix(mix, self.config, self._obs_stream)
+        """Observation of the input stage, taken by ``observe_mix`` once per fresh input
+        (one draw, even at zero noise level) by reset() and step().  Repeated calls
+        return the same observation; before reset() this raises ``RuntimeError``."""
+        self._state or self.state  # the property raises before reset()
         return self._obs
 
     def step(self, action: Action) -> StepResult:

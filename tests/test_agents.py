@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sortline
-from sortline import agents, env, sorting
+from sortline import env, sorting
 from sortline.agents import (
     BINS,
     LEARNING_RATE,
@@ -24,7 +24,8 @@ from sortline.agents import (
 )
 from sortline.config import ConfigError, EnvConfig
 from sortline.env import StepResult
-from sortline.bench import standard_setups
+from sortline.bench import run_episode, standard_setups
+from sortline.sorting import BELOW_THRESHOLD_REWARD
 from sortline.types import ACTIONS, MODES, Action, EnvVariant, Observation, SortingMode
 
 
@@ -199,8 +200,30 @@ class TestRuleTablePricing:
             bonus = 0.3 if chosen is SortingMode.NEGATIVE and correct is not chosen else 0.0
             return min(original(alpha, chosen, correct, config, stream) + bonus, 1.0)
 
-        monkeypatch.setattr(agents, "apply_mode", by_mode)
+        monkeypatch.setattr(env, "apply_mode", by_mode)
         assert RuleBasedAgent(config).table != scanned_table(config)
+
+    @pytest.mark.parametrize(
+        "name, variant, patched, price",
+        [
+            ("step_reward", EnvVariant.BASIC, lambda alpha, speed, config, changed: -float(speed), -1.0),
+            ("step_reward", EnvVariant.ADVANCED, lambda alpha, speed, config, changed: -float(speed), -1.0),
+            ("base_accuracy", EnvVariant.BASIC, lambda speed, occ, config, stream: 0.0, BELOW_THRESHOLD_REWARD),
+        ],
+        ids=["step_reward-basic", "step_reward-advanced", "base_accuracy-basic"],
+    )
+    def test_the_table_prices_through_the_envs_reward_model(self, monkeypatch, name, variant, patched, price):
+        """A reward model under which speed 1 always wins, patched where ``env``
+        looks it up, moves the price and the table: the rule table has no copy."""
+        config = EnvConfig(variant=variant)
+        action, category = ACTIONS[variant][0], MODES[variant][0]  # speed 1, first mode
+        before = RuleBasedAgent(config).table
+        assert expected_immediate_reward(config, 0.5, action, category) != price
+        monkeypatch.setattr(env, name, patched)
+        assert expected_immediate_reward(config, 0.5, action, category) == price
+        table = RuleBasedAgent(config).table
+        assert table != before and {a.speed_index for a in table.values()} == {1}
+        assert best_action(config, 0.0, category).speed_index == 1
 
 
 class TestRuleBasedAgent:
@@ -405,6 +428,17 @@ class TestQLearningAgent:
         agent = QLearningAgent(EnvVariant.BASIC, seed=0)
         with pytest.raises(ConfigError):
             agent.train(EnvConfig(variant=EnvVariant.ADVANCED), episodes=1, steps_per_episode=5)
+
+    def test_training_refuses_the_other_variant_as_an_episode_does(self):
+        agent = QLearningAgent(EnvVariant.ADVANCED, seed=0)
+        stream = agent._stream.getstate()
+        with pytest.raises(ConfigError) as training:
+            agent.train(EnvConfig(), episodes=1, steps_per_episode=5)
+        with pytest.raises(ConfigError) as episode:
+            run_episode(EnvConfig(), agent)
+        assert str(training.value) == str(episode.value) == "agent variant advanced does not match config basic"
+        assert not agent.values.any() and agent.visits.sum() == 0 and agent.epsilon() == 0.05
+        assert agent._stream.getstate() == stream
 
     @pytest.mark.parametrize("episodes", [-3, 0, 2.5, 2.0, True, "2"])
     def test_training_needs_a_whole_positive_episode_count(self, episodes):

@@ -81,6 +81,8 @@ class TestReset:
             env.state
         with pytest.raises(RuntimeError):
             env.step(Action(1))
+        with pytest.raises(RuntimeError):
+            env.observe()
 
     def test_advanced_observation_carries_the_true_category(self):
         env = SortingLineEnv(EnvConfig(variant=EnvVariant.ADVANCED))
