@@ -11,7 +11,7 @@ import math
 from pathlib import Path
 
 from .config import ConfigError, EnvConfig, check_field
-from .env import StepResult, price_step, run_training_episode
+from .env import StepResult, observe_mix, open_streams, price_step
 from .rng import AGENT_STREAM, make_stream
 from .types import ACTIONS, MODES, Action, EnvVariant, Observation, SortingMode, validate_action
 
@@ -36,7 +36,7 @@ class Agent:
         raise NotImplementedError
 
     def notify(self, result: StepResult) -> None:
-        """Learning agents update here; stateless agents ignore it."""
+        """Called with each evaluation step's result; the bundled agents ignore it."""
 
 
 def check_variant(agent: Agent, config: EnvConfig) -> None:
@@ -164,9 +164,9 @@ class QLearningAgent(Agent):
     which discounts the next state's best value by ``discount`` in [0, 1].
     Epsilon decays linearly from ``EPSILON_START`` (1.0) to ``EPSILON_FINAL``
     (0.05) over the first ``EPSILON_DECAY_FRACTION`` (half) of the planned
-    training steps, then stays at ``EPSILON_FINAL``.  With
-    ``learning`` off (the default outside ``train``), ``act`` is the greedy
-    policy with ties toward the lower speed index.
+    training steps, then stays at ``EPSILON_FINAL``.  Only ``train`` explores
+    and learns; ``act`` is always the greedy policy, with ties toward the
+    lower speed index, and ``notify`` ignores what it is told.
 
     The table lives in plain Python lists, one row of action values per
     state; ``values`` and ``visits`` hand out read-only numpy copies.
@@ -185,9 +185,6 @@ class QLearningAgent(Agent):
         self._actions = ACTIONS[variant]
         self._q = [[0.0] * len(self._actions) for _ in range(states)]
         self._visits = [0] * states
-        self.learning = False
-        self._pending: tuple[int, int] | None = None
-        self._next: tuple[object, int] = (object(), 0)  # (observation, state index) notify encoded last
         self._planned_steps = 0
         self._steps_done = 0
 
@@ -218,40 +215,18 @@ class QLearningAgent(Agent):
         return EPSILON_START + (EPSILON_FINAL - EPSILON_START) * (progress if progress < 1.0 else 1.0)
 
     def act(self, obs: Observation) -> Action:
-        state = self._next[1] if obs is self._next[0] else self.state_index(obs)
-        row = self._q[state]
+        row = self._q[self.state_index(obs)]
         # index(max(row)) is the first maximum, as argmax; tables hold no NaN.
-        if not self.learning:
-            return self._actions[row.index(max(row))]
-        if self._stream.random() < self.epsilon():
-            index = self._stream.randrange(len(self._actions))
-        else:
-            index = row.index(max(row))
-        self._pending = (state, index)
-        return self._actions[index]
+        return self._actions[row.index(max(row))]
 
     def notify(self, result: StepResult) -> None:
-        if not self.learning or self._pending is None:
-            return
-        state, action = self._pending
-        self._pending = None
-        target = result.reward
-        if not result.done:
-            next_state = self.state_index(result.observation)
-            self._next = (result.observation, next_state)
-            target += self.discount * max(self._q[next_state])
-        row = self._q[state]
-        q = row[action]
-        row[action] = q + LEARNING_RATE * (target - q)
-        self._visits[state] += 1
-        self._steps_done += 1
+        pass  # only train learns; kept as an override, a patch point of perfbench/tracer.py
 
     def train(self, config: EnvConfig, episodes: int, steps_per_episode: int) -> "QLearningAgent":
-        """Run seeded training episodes through ``env.run_training_episode``.
-
-        Episode seeds come from the agent's exploration stream, so the whole
-        run is a deterministic function of the agent seed and the config.
-        """
+        """Run epsilon-greedy Q-learning episodes, each seeded from the agent's
+        stream: the draws, observations and rewards of ``SortingLineEnv.reset`` and
+        ``step`` (``open_streams``, ``observe_mix``, ``price_step``), without the
+        stages, storage or info that learning does not read."""
         check_variant(self, config)
         if type(episodes) is not int or episodes < 1:
             raise ConfigError(f"training episodes must be an int of at least 1, got {episodes!r}")
@@ -260,12 +235,29 @@ class QLearningAgent(Agent):
             raise ConfigError(f"training episode length must be at least 1 step, got {steps}")
         self._planned_steps = episodes * steps
         self._steps_done = 0
-        self.learning = True
-        try:
-            for _ in range(episodes):
-                run_training_episode(config, self, self._stream.getrandbits(63), steps)
-        finally:
-            self.learning = False
+        q, visits, actions, stream = self._q, self._visits, self._actions, self._stream
+        state_index, epsilon, discount = self.state_index, self.epsilon, self.discount
+        for _ in range(episodes):
+            generator, sorting_stream, obs_stream = open_streams(config, stream.getrandbits(63))
+            draw = generator.draw
+            obs, occ = observe_mix(draw(), config, obs_stream)
+            state, last = state_index(obs), 0
+            for step in range(1, steps + 1):
+                row = q[state]
+                index = stream.randrange(len(actions)) if stream.random() < epsilon() else row.index(max(row))
+                speed, mode = actions[index].speed_index, actions[index].mode
+                changed = step > 1 and speed != last
+                _, target = price_step(speed, mode, occ, obs.ratio_category, config, sorting_stream, changed)
+                last = speed
+                obs, occ = observe_mix(draw(), config, obs_stream)
+                next_state = state_index(obs)
+                if step < steps:
+                    target += discount * max(q[next_state])
+                value = row[index]
+                row[index] = value + LEARNING_RATE * (target - value)
+                visits[state] += 1
+                self._steps_done += 1
+                state = next_state
         return self
 
     def save(self, path: str | Path) -> None:

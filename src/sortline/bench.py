@@ -221,8 +221,13 @@ EPISODE_STEPS = 250  # in episodes of this many steps
 
 def training_episodes(train_steps: int, episode_steps: int) -> int:
     """The number of ``episode_steps``-step episodes that comes nearest
-    ``train_steps``, at least one."""
-    if train_steps < 1 or episode_steps < 1:
+    ``train_steps``, at least one.  Both counts are checked as ``train`` checks
+    an episode length: an ``int`` or integral float, at least 1."""
+    try:
+        counts = [check_field("episode_length", n) for n in (train_steps, episode_steps)]
+    except ConfigError:
+        raise ConfigError(f"training steps must be whole numbers, got {train_steps!r} and {episode_steps!r}") from None
+    if min(counts) < 1:
         raise ConfigError(f"training steps must be positive, got {train_steps} and {episode_steps}")
     return max(1, round(train_steps / episode_steps))
 

@@ -100,25 +100,6 @@ def price_step(
     return accuracy, step_reward(accuracy, speed, config, speed_changed)
 
 
-def run_training_episode(config: EnvConfig, agent: Any, root: int, steps: int) -> None:
-    """One ``steps``-step episode from root seed ``root`` through ``agent.act`` and
-    ``agent.notify``, with the draws, observations and rewards of ``reset`` and ``step``
-    but no stages, storage, purity or info, which a learner does not read, and no
-    action check: ``agent`` must act in ``config``'s variant."""
-    generator, sorting_stream, obs_stream = open_streams(config, root)
-    draw, act, notify, new = generator.draw, agent.act, agent.notify, tuple.__new__
-    obs, occ = observe_mix(draw(), config, obs_stream)
-    last = 0
-    for step in range(1, steps + 1):
-        action = act(obs)
-        speed, correct, mix = action.speed_index, obs.ratio_category, draw()
-        changed = step > 1 and speed != last
-        _, reward = price_step(speed, action.mode, occ, correct, config, sorting_stream, changed)
-        last = speed
-        obs, occ = observe_mix(mix, config, obs_stream)
-        notify(new(StepResult, (obs, reward, step == steps, {})))
-
-
 class SortingLineEnv:
     """Deterministic, seedable simulator of the two-material sorting line."""
 

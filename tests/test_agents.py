@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sortline
-from sortline import env, sorting
+from sortline import agents, env, sorting
 from sortline.agents import (
     BINS,
     LEARNING_RATE,
@@ -31,6 +31,35 @@ from sortline.types import ACTIONS, MODES, Action, EnvVariant, Observation, Sort
 
 def outcome(next_total: float, reward: float, done: bool = False) -> StepResult:
     return StepResult(Observation(next_total), reward, done, {})
+
+
+def train_scripted(monkeypatch, agent, totals, rewards):
+    """Train ``agent`` greedily (epsilon 0) for one basic episode of
+    ``len(rewards)`` steps whose observed totals are ``totals`` (one more than
+    the steps) and whose step rewards are ``rewards``."""
+    observed = iter([(Observation(total), total) for total in totals])
+    paid = iter(rewards)
+    monkeypatch.setattr(agents, "observe_mix", lambda mix, config, stream: next(observed))
+    monkeypatch.setattr(agents, "price_step", lambda *args: (1.0, next(paid)))
+    agent.epsilon = lambda: 0.0
+    agent.train(EnvConfig(), episodes=1, steps_per_episode=len(rewards))
+    assert next(observed, None) is None and next(paid, None) is None
+
+
+def explored_actions(monkeypatch, agent, steps):
+    """The actions ``agent`` takes in one ``steps``-step training episode at epsilon 1."""
+    picks = []
+    priced = agents.price_step
+
+    def recording_price_step(speed, mode, *rest):
+        picks.append(Action(speed, mode))
+        return priced(speed, mode, *rest)
+
+    monkeypatch.setattr(agents, "price_step", recording_price_step)
+    agent.epsilon = lambda: 1.0
+    agent.train(EnvConfig(variant=agent.variant), episodes=1, steps_per_episode=steps)
+    return picks
+
 
 ZERO_NOISE = EnvConfig(base_noise_range=(0.0, 0.0))
 ZERO_NOISE_ADV = EnvConfig(
@@ -316,15 +345,15 @@ class TestQLearningAgent:
         agent._q[bin_index(0.4)][6] = 2.5
         assert agent.act(Observation(0.4)) == Action(7)
 
-    def test_greedy_ties_resolve_to_the_first_maximum(self):
+    def test_greedy_ties_resolve_to_the_first_maximum(self, monkeypatch):
         agent = QLearningAgent(EnvVariant.BASIC, seed=0)
         state = bin_index(0.4)
         agent._q[state][:3] = [1.0, 3.0, 3.0]
         assert agent.act(Observation(0.4)) == Action(2)
-        agent.learning = True
-        agent.epsilon = lambda: 0.0  # never explore
-        assert agent.act(Observation(0.4)) == Action(2)
-        assert agent._pending == (state, 1)
+        # Training's greedy pick (epsilon 0) updates the first maximum too.
+        train_scripted(monkeypatch, agent, [0.4, 0.9], [1.0])
+        assert agent._q[state][:3] == [1.0, 3.0 + LEARNING_RATE * (1.0 - 3.0), 3.0]
+        assert agent.visits.sum() == agent.visits[state] == 1
 
     def test_values_and_visits_are_read_only_snapshots(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=0)
@@ -335,26 +364,20 @@ class TestQLearningAgent:
         assert not agent.values.any() and not agent.visits.any()
         assert agent.values.dtype == np.float64 and agent.visits.dtype == np.int64
 
-    def test_exploration_hits_every_action(self):
+    def test_exploration_hits_every_action(self, monkeypatch):
         agent = QLearningAgent(EnvVariant.BASIC, seed=5)
-        agent.learning = True
-        agent._planned_steps = 10_000  # no notify, so epsilon stays at EPSILON_START
-        picks = {agent.act(Observation(0.2)) for _ in range(400)}
-        assert picks == set(ACTIONS[EnvVariant.BASIC])
+        assert set(explored_actions(monkeypatch, agent, 400)) == set(ACTIONS[EnvVariant.BASIC])
 
     @pytest.mark.parametrize("variant, pinned", [
-        (EnvVariant.BASIC, [(3, None), (2, None), (1, None), (3, None), (1, None),
-                            (4, None), (7, None), (3, None), (9, None), (9, None)]),
-        (EnvVariant.ADVANCED, [(2, "negative"), (10, "negative"), (7, "negative"), (9, "basic"),
-                               (2, "negative"), (3, "negative"), (8, "basic"), (7, "negative"),
-                               (10, "basic"), (10, "basic")]),
+        (EnvVariant.BASIC, [(1, None), (1, None), (3, None), (1, None), (4, None),
+                            (7, None), (3, None), (9, None), (9, None), (5, None)]),
+        (EnvVariant.ADVANCED, [(1, "positive"), (10, "basic"), (4, "positive"), (8, "basic"),
+                               (4, "negative"), (4, "positive"), (5, "negative"), (3, "positive"),
+                               (2, "positive"), (6, "negative")]),
     ])
-    def test_default_seed_is_pinned(self, variant, pinned):
-        agent = QLearningAgent(variant)
-        agent.learning = True
-        agent._planned_steps = 10_000  # no notify, so epsilon stays at EPSILON_START
-        category = SortingMode.BASIC if variant is EnvVariant.ADVANCED else None
-        actions = [agent.act(Observation(0.5, category)) for _ in range(10)]
+    def test_default_seed_is_pinned(self, monkeypatch, variant, pinned):
+        # The stream draws the episode seed, then one random() and one randrange() per step.
+        actions = explored_actions(monkeypatch, QLearningAgent(variant), 10)
         assert [(a.speed_index, a.mode and a.mode.value) for a in actions] == pinned
 
     def test_advanced_observation_needs_a_category(self):
@@ -367,30 +390,25 @@ class TestQLearningAgent:
         with pytest.raises(ValueError):
             agent.act(Observation(0.5, SortingMode.POSITIVE))
 
-    def test_td_update_from_zero(self):
+    def test_td_update_from_zero(self, monkeypatch):
         agent = QLearningAgent(EnvVariant.BASIC, discount=0.9)
-        agent.learning = True
         state = bin_index(0.42)
-        agent._pending = (state, 0)
-        agent.notify(outcome(0.9, reward=1.0))
+        train_scripted(monkeypatch, agent, [0.42, 0.9, 0.9], [1.0, 0.0])
         assert agent.values[state, 0] == pytest.approx(LEARNING_RATE * 1.0)  # 1 + 0.9 * 0 - 0
         assert agent.visits[state] == 1
 
-    def test_td_update_bootstraps_from_the_next_state(self):
+    def test_td_update_bootstraps_from_the_next_state(self, monkeypatch):
         agent = QLearningAgent(EnvVariant.BASIC, discount=0.5)
-        agent.learning = True
         agent._q[bin_index(0.9)][3] = 2.0
-        agent._pending = (bin_index(0.1), 0)
-        agent.notify(outcome(0.9, reward=1.0))
+        train_scripted(monkeypatch, agent, [0.1, 0.9, 0.9], [1.0, 0.0])
         assert agent.values[bin_index(0.1), 0] == pytest.approx(LEARNING_RATE * (1.0 + 0.5 * 2.0))
 
-    def test_terminal_steps_do_not_bootstrap(self):
+    def test_terminal_steps_do_not_bootstrap(self, monkeypatch):
         agent = QLearningAgent(EnvVariant.BASIC, discount=0.9)
-        agent.learning = True
         agent._q[bin_index(0.9)][3] = 50.0
-        agent._pending = (bin_index(0.1), 0)
-        agent.notify(outcome(0.9, reward=0.25, done=True))
+        train_scripted(monkeypatch, agent, [0.1, 0.9], [0.25])
         assert agent.values[bin_index(0.1), 0] == pytest.approx(LEARNING_RATE * 0.25)
+        assert agent.values[bin_index(0.9), 3] == 50.0
 
     def test_notify_without_learning_is_inert(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=0)
@@ -422,7 +440,12 @@ class TestQLearningAgent:
         first, second = trained(), trained()
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.visits, second.visits)
-        assert first.learning is False
+        # A trained agent acts greedily and draws nothing from its stream.
+        stream = first._stream.getstate()
+        for b in range(BINS):
+            greedy = ACTIONS[EnvVariant.BASIC][int(np.argmax(first.values[b]))]
+            assert first.act(Observation((b + 0.5) / BINS)) == greedy
+        assert first._stream.getstate() == stream
 
     def test_training_needs_a_config_of_its_variant(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=0)
@@ -477,27 +500,34 @@ class TestQLearningAgent:
 
 
 def reference_train(agent, config, episodes, steps):
-    """``QLearningAgent.train`` as a loop over ``SortingLineEnv.step``; returns
-    each episode's input, sorting and observation stream states at its end."""
+    """Epsilon-greedy Q-learning written out over ``SortingLineEnv.step``, in the
+    agent's table, visits, stream and schedule; returns each episode's input,
+    sorting and observation stream states at its end."""
     line = env.SortingLineEnv(replace(config, episode_length=steps))
+    actions = ACTIONS[config.variant]
     agent._planned_steps = episodes * steps
     agent._steps_done = 0
-    agent.learning = True
     states = []
     for _ in range(episodes):
-        obs = line.reset(seed=agent._stream.getrandbits(63))
-        for _ in range(steps):
-            result = line.step(agent.act(obs))
-            agent.notify(result)
-            obs = result.observation
+        obs, done = line.reset(seed=agent._stream.getrandbits(63)), False
+        while not done:
+            state = agent.state_index(obs)
+            if agent._stream.random() < agent.epsilon():
+                index = agent._stream.randrange(len(actions))
+            else:
+                index = int(np.argmax(agent._q[state]))
+            obs, reward, done, _ = line.step(actions[index])
+            target = reward if done else reward + agent.discount * max(agent._q[agent.state_index(obs)])
+            agent._q[state][index] += LEARNING_RATE * (target - agent._q[state][index])
+            agent._visits[state] += 1
+            agent._steps_done += 1
         states.append(tuple(s.getstate() for s in (line._generator._stream, line._sorting_stream, line._obs_stream)))
-    agent.learning = False
     return states
 
 
 class TestTrainingDriver:
-    """``train`` runs ``env.run_training_episode``; it must learn exactly what
-    stepping a ``SortingLineEnv`` through ``act`` and ``notify`` learns."""
+    """``train`` runs its own loop; it must learn exactly what epsilon-greedy
+    Q-learning written out over ``SortingLineEnv.step`` learns."""
 
     CELLS = {f"{v.value}-{name}": cfg for v in EnvVariant for name, cfg in standard_setups(v).items()}
 
@@ -514,7 +544,7 @@ class TestTrainingDriver:
             return opened[-1]
 
         env_open_streams = env.open_streams
-        monkeypatch.setattr(env, "open_streams", recording_open_streams)
+        monkeypatch.setattr(agents, "open_streams", recording_open_streams)
         driven = QLearningAgent(config.variant, discount=discount, seed=seed).train(config, episodes, steps)
         monkeypatch.undo()
         stepped = QLearningAgent(config.variant, discount=discount, seed=seed)

@@ -387,6 +387,12 @@ class TestBenchmark:
         for name, factory in factories.items():
             assert factory(EnvConfig(), 1).name == name
 
+    @pytest.mark.parametrize("train_steps, episode_steps", [(5000, 2.5), (True, 250), (5000, True), ("500", 50)])
+    def test_a_bad_training_budget_is_refused_when_the_factories_are_built(self, train_steps, episode_steps):
+        with pytest.raises(ConfigError, match="^training steps must be whole numbers"):
+            default_agent_factories(train_steps, episode_steps)
+        assert bench.training_episodes(5000.0, 250.0) == 20  # integral floats count as ints
+
     def test_seed_hygiene(self):
         setups = standard_setups(EnvVariant.BASIC)
         factories = {"rba": lambda config, seed: RuleBasedAgent(config)}
