@@ -49,7 +49,7 @@ class RandomAgent(Agent):
 
     def __init__(self, variant: EnvVariant, seed: int = 0):
         self.variant = variant
-        self._stream = make_stream(seed, AGENT_STREAM)
+        self._stream = make_stream(check_field("seed", seed), AGENT_STREAM)
 
     def act(self, obs: Observation) -> Action:
         return self._stream.choice(ACTIONS[self.variant])
@@ -74,7 +74,7 @@ def expected_immediate_reward(
     action: Action,
     category: SortingMode | None = None,
 ) -> float:
-    """One-step reward at the noise mean, with no change penalty, by ``env.price_step``.
+    """One-step reward at the noise mean by ``env.price_step``, as a first step: no change penalty.
 
     In the advanced variant the observed ``category`` is taken to be the true
     regime, so a matching mode earns the bonus and a mismatch the malus.  An
@@ -84,7 +84,7 @@ def expected_immediate_reward(
         raise ValueError(f"occupancy outside [0, 1]: {occ}")
     validate_action(action, config.variant)
     _check_category(config.variant, category)
-    return price_step(action.speed_index, action.mode, occ, category, config, _NoiseMean, False)[1]
+    return price_step(action, occ, category, config, _NoiseMean, 0)[1]
 
 
 def _best_actions(config: EnvConfig, occ: float) -> dict[SortingMode | None, Action]:
@@ -179,7 +179,7 @@ class QLearningAgent(Agent):
             raise ValueError(f"discount must lie in [0, 1], got {discount}")
         self.variant = variant
         self.discount = discount
-        self._stream = make_stream(seed, AGENT_STREAM)
+        self._stream = make_stream(check_field("seed", seed), AGENT_STREAM)
         self._category_index = {category: i for i, category in enumerate(MODES[variant])}
         states = BINS * len(self._category_index)
         self._actions = ACTIONS[variant]
@@ -245,10 +245,9 @@ class QLearningAgent(Agent):
             for step in range(1, steps + 1):
                 row = q[state]
                 index = stream.randrange(len(actions)) if stream.random() < epsilon() else row.index(max(row))
-                speed, mode = actions[index].speed_index, actions[index].mode
-                changed = step > 1 and speed != last
-                _, target = price_step(speed, mode, occ, obs.ratio_category, config, sorting_stream, changed)
-                last = speed
+                action = actions[index]
+                _, target = price_step(action, occ, obs.ratio_category, config, sorting_stream, last)
+                last = action.speed_index
                 obs, occ = observe_mix(draw(), config, obs_stream)
                 next_state = state_index(obs)
                 if step < steps:

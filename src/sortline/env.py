@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from .config import EnvConfig
+from .config import EnvConfig, check_field
 from .inputs import InputGenerator, make_generator
 from .rng import INPUT_STREAM, OBSERVATION_STREAM, SORTING_STREAM, make_stream
 from .sorting import (
@@ -49,6 +49,7 @@ class EnvState:
 
     ``accuracy`` belongs to the batch currently on the belt;
     ``machine_accuracy`` is the value that batch carried when it moved on.
+    ``speed_index`` is the last step's speed, 0 before the first step.
     """
 
     input: MaterialMix
@@ -88,16 +89,18 @@ def observe_mix(mix: MaterialMix, config: EnvConfig, stream: random.Random) -> t
 
 
 def price_step(
-    speed: int, mode: SortingMode | None, occ: float, correct: SortingMode | None,
-    config: EnvConfig, stream: random.Random, speed_changed: bool,
+    action: Action, occ: float, correct: SortingMode | None,
+    config: EnvConfig, stream: random.Random, last: int,
 ) -> tuple[float, float]:
-    """The accuracy a belt batch of occupancy ``occ`` and true category ``correct``
-    gets at ``speed`` and ``mode`` (one draw of ``stream``), and the step's reward."""
+    """The accuracy a belt batch of occupancy ``occ`` and true category ``correct`` gets
+    under ``action`` (one draw of ``stream``), and the step's reward, which pays ``action_penalty``
+    if the speed differs from ``last``, the previous step's speed: 0 before an episode's first."""
+    speed, mode = action.speed_index, action.mode
     if mode is None:  # a valid action carries a mode exactly in the advanced variant
         accuracy = base_accuracy(speed, occ, config, stream)
     else:
         accuracy = apply_mode(deterministic_accuracy(speed, occ, config), mode, correct, config, stream)
-    return accuracy, step_reward(accuracy, speed, config, speed_changed)
+    return accuracy, step_reward(accuracy, speed, config, last != 0 and speed != last)
 
 
 class SortingLineEnv:
@@ -120,14 +123,14 @@ class SortingLineEnv:
 
     def reset(self, seed: int | None = None) -> Observation:
         """Start a fresh episode; ``seed`` overrides the configured root seed."""
-        root = self.config.seed if seed is None else seed
+        root = self.config.seed if seed is None else check_field("seed", seed)
         self._generator, self._sorting_stream, self._obs_stream = open_streams(self.config, root)
         self._state = EnvState(
             input=self._generator.draw(),
             belt=EMPTY_MIX,
             machine=EMPTY_MIX,
             storage=StorageTally(),
-            speed_index=1,
+            speed_index=0,
             accuracy=1.0,
             machine_accuracy=1.0,
             step_count=0,
@@ -147,9 +150,9 @@ class SortingLineEnv:
 
         1. sort the machine contents into storage, in place, at their carried accuracy
         2. shift belt -> machine, input -> belt, draw fresh input
-        3. apply the action's speed (and mode)
+        3. apply the action's speed (and mode) to the belt batch, by ``price_step``
         4. recompute accuracy for the belt batch (occupancy and category computed once, as input)
-        5. reward from that accuracy and speed, minus any change penalty
+        5. reward from that accuracy and speed, minus the penalty if the speed differs from the last step's
         6. observe the fresh input
         """
         state = self._state or self.state  # the property raises before reset()
@@ -157,7 +160,6 @@ class SortingLineEnv:
         validate_action(action, config.variant)  # before the end check; Action checked the speed
         if state.step_count >= config.episode_length:
             raise EpisodeDoneError("episode is finished; call reset()")
-        speed, mode = action.speed_index, action.mode
         occ, correct = self._input_occupancy, self._obs.ratio_category  # of the next belt batch
 
         sort_transfer(state.machine, state.machine_accuracy, state.storage)
@@ -167,18 +169,16 @@ class SortingLineEnv:
         state.belt = state.input
         state.input = self._generator.draw()
 
-        speed_changed = state.step_count > 0 and speed != state.speed_index
-        state.speed_index = speed
-        accuracy, reward = price_step(speed, mode, occ, correct, config, self._sorting_stream, speed_changed)
-        state.accuracy = accuracy
+        accuracy, reward = price_step(action, occ, correct, config, self._sorting_stream, state.speed_index)
+        state.speed_index, state.accuracy = action.speed_index, accuracy
 
         state.step_count = step_count = state.step_count + 1
         info = {
             "accuracy": accuracy,
             "occupancy": occ,
-            "speed": speed / 10.0,  # speed_fraction(speed)
+            "speed": state.speed_index / 10.0,  # speed_fraction(speed)
             "purity": purity(state.storage),
-            "mode_correct": None if mode is None else mode is correct,
+            "mode_correct": None if action.mode is None else action.mode is correct,
         }
         self._obs, self._input_occupancy = observe_mix(state.input, config, self._obs_stream)
         return tuple.__new__(StepResult, (self._obs, reward, step_count >= config.episode_length, info))

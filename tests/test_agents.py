@@ -51,9 +51,9 @@ def explored_actions(monkeypatch, agent, steps):
     picks = []
     priced = agents.price_step
 
-    def recording_price_step(speed, mode, *rest):
-        picks.append(Action(speed, mode))
-        return priced(speed, mode, *rest)
+    def recording_price_step(action, *rest):
+        picks.append(action)
+        return priced(action, *rest)
 
     monkeypatch.setattr(agents, "price_step", recording_price_step)
     agent.epsilon = lambda: 1.0
@@ -329,6 +329,15 @@ class TestRandomAgent:
         agent = RandomAgent(variant)
         actions = [agent.act(Observation(0.5)) for _ in range(10)]
         assert [(a.speed_index, a.mode and a.mode.value) for a in actions] == pinned
+
+
+@pytest.mark.parametrize("agent_class", [RandomAgent, QLearningAgent])
+def test_agents_read_their_seed_as_the_seed_field_is(agent_class):
+    state = agent_class(EnvVariant.BASIC, seed=3)._stream.getstate()
+    assert agent_class(EnvVariant.BASIC, seed=3.0)._stream.getstate() == state
+    for bad in (True, "3", 2.5, np.int64(3)):
+        with pytest.raises(ConfigError, match="seed"):
+            agent_class(EnvVariant.BASIC, seed=bad)
 
 
 class TestQLearningAgent:

@@ -8,7 +8,7 @@ import pytest
 
 from sortline.bench import standard_setups
 from sortline.config import ConfigError, EnvConfig
-from sortline.env import EpisodeDoneError, SortingLineEnv, StepResult
+from sortline.env import EpisodeDoneError, SortingLineEnv, StepResult, price_step
 from sortline.rng import OBSERVATION_STREAM, make_stream
 from sortline.sorting import (
     clamp01,
@@ -94,6 +94,14 @@ class TestReset:
         first = env.reset(seed=42)
         env2 = SortingLineEnv(EnvConfig(seed=42))
         assert env2.reset() == first
+
+    def test_seed_is_read_as_the_seed_field_is(self):
+        env = SortingLineEnv(EnvConfig())
+        first = env.reset(seed=3.0), env.state.input
+        assert (env.reset(seed=3), env.state.input) == first
+        for bad in (True, "3", 2.5):
+            with pytest.raises(ConfigError, match="seed"):
+                env.reset(seed=bad)
 
 
 class TestObservationNoise:
@@ -221,13 +229,16 @@ class TestStepPipeline:
                 assert [x.hex() for x in astuple(env.state.storage)] == [x.hex() for x in want]
 
     def test_reward_matches_the_formula_and_penalty_rules(self):
-        config = replace(NOISELESS, action_penalty=0.5)
-        env = SortingLineEnv(config)
-        env.reset(seed=5)
-        for speed, changed in ((4, False), (4, False), (7, True), (7, False), (2, True)):
-            result = env.step(Action(speed))
-            expected = step_reward(result.info["accuracy"], speed, config, speed_changed=changed)
-            assert result.reward == pytest.approx(expected, abs=1e-12)
+        for variant, mode in ((EnvVariant.BASIC, None), (EnvVariant.ADVANCED, SortingMode.NEGATIVE)):
+            config = replace(NOISELESS, variant=variant, action_penalty=0.5)
+            env = SortingLineEnv(config)
+            env.reset(seed=5)
+            assert env.state.speed_index == 0  # no previous step
+            for speed, changed in ((4, False), (4, False), (7, True), (7, False), (2, True)):
+                result = env.step(Action(speed, mode))
+                expected = step_reward(result.info["accuracy"], speed, config, speed_changed=changed)
+                assert result.reward == pytest.approx(expected, abs=1e-12)
+                assert env.state.speed_index == speed
 
     def test_info_reports_the_belt_occupancy(self):
         env = SortingLineEnv(EnvConfig())
@@ -380,6 +391,23 @@ class TestConservationAndDeterminism:
         a = env.reset(seed=1)
         b = env.reset(seed=2)
         assert a != b
+
+
+@pytest.mark.parametrize("variant", list(EnvVariant))
+def test_price_step_charges_a_change_of_the_last_speed(variant):
+    """From equal stream states the accuracy is one float whatever ``last`` is;
+    the reward drops by exactly ``action_penalty`` only when ``last`` is a
+    previous step's (nonzero) speed that differs from the action's."""
+    config = EnvConfig(variant=variant, action_penalty=0.5)
+    mode = SortingMode.POSITIVE if variant is EnvVariant.ADVANCED else None
+    action = Action(4, mode)
+    for occ in (0.3, 1.0):  # above and below the accuracy threshold
+        (first, paid), (same, kept), (changed, charged) = (
+            price_step(action, occ, mode, config, random.Random(11), last) for last in (0, 4, 9)
+        )
+        assert first.hex() == same.hex() == changed.hex()
+        assert kept.hex() == paid.hex()
+        assert charged.hex() == (paid - config.action_penalty).hex()
 
 
 def test_inlined_copies_match_the_helpers_they_name():

@@ -9,8 +9,9 @@ first.  Standard output gets one JSON object, the per-workload block of a
 median and quartiles (``statistics.quantiles(n=4, method='inclusive')``), the
 pairs the change won and lost in the metric's direction (ties count for
 neither), ``median_change_pct`` and the parent's interquartile range.
-Directions and bounds come from CHANGE's ``BENCHMARK.json``.  With
-``--trace 1`` the metrics are the per-layer figures and call counts.
+Workload names, metric directions and bounds come from CHANGE's
+``BENCHMARK.json``.  With ``--trace 1`` the metrics are the per-layer figures
+and call counts.
 
 The exit status is 0 only when every run of both sides reports
 ``correct: true``.
@@ -82,7 +83,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the checkout before the change")
     parser.add_argument("change", type=Path, help="root of the checkout with the change")
-    parser.add_argument("--workload", required=True, choices=["paper_table", "eval_sweep", "serve_loop"])
+    parser.add_argument("--workload", required=True, help="a workload CHANGE's BENCHMARK.json declares")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=20.0)
@@ -95,6 +96,9 @@ def main() -> int:
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"no perfbench/run.py under {checkout}")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    if args.workload not in workloads:
+        parser.error(f"--workload must be one of {', '.join(workloads)}, got {args.workload!r}")
     declared = {m["name"]: m for m in spec["per_layer" if args.trace else "end_to_end"]}
 
     seeds = [args.seed_base + i for i in range(args.pairs)]
