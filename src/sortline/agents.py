@@ -26,6 +26,11 @@ def bin_index(value: float) -> int:
     return b if b < BINS else BINS - 1
 
 
+def first_max(row: list[float]) -> int:
+    """Index of the first maximum of a NaN-free ``row``, as ``np.argmax`` gives it."""
+    return row.index(max(row))
+
+
 class Agent:
     """Minimal agent contract used by the episode and benchmark harnesses."""
 
@@ -98,8 +103,8 @@ def _best_actions(config: EnvConfig, occ: float) -> dict[SortingMode | None, Act
     picks = {}
     for category in modes:
         prices = [(fits if a.mode is category else misses)[a.speed_index - 1] for a in actions]
-        # Every price is finite (occ lies in [0, 1]): index(max()) is the scan's first strict maximum.
-        picks[category] = actions[prices.index(max(prices))]
+        # Every price is finite (occ lies in [0, 1]): first_max is the scan's first strict maximum.
+        picks[category] = actions[first_max(prices)]
     return picks
 
 
@@ -168,17 +173,18 @@ class QLearningAgent(Agent):
     and learns; ``act`` is always the greedy policy, with ties toward the
     lower speed index, and ``notify`` ignores what it is told.
 
-    The table lives in plain Python lists, one row of action values per
-    state; ``values`` and ``visits`` hand out read-only numpy copies.
+    The table is plain Python lists, one row of action values per state, and
+    ``train`` keeps each state's greedy action through its updates; ``values``
+    and ``visits`` hand out read-only numpy copies.
     """
 
     name = "qtable"
 
     def __init__(self, variant: EnvVariant, discount: float = 0.9, seed: int = 0):
-        if not 0.0 <= discount <= 1.0:  # NaN fails too: training keeps the table NaN-free
-            raise ValueError(f"discount must lie in [0, 1], got {discount}")
+        if type(discount) not in (int, float) or not 0 <= discount <= 1:  # NaN fails: tables stay NaN-free
+            raise ValueError(f"discount must be an int or float in [0, 1], got {discount!r}")
         self.variant = variant
-        self.discount = discount
+        self.discount = float(discount)
         self._stream = make_stream(check_field("seed", seed), AGENT_STREAM)
         self._category_index = {category: i for i, category in enumerate(MODES[variant])}
         states = BINS * len(self._category_index)
@@ -215,9 +221,7 @@ class QLearningAgent(Agent):
         return EPSILON_START + (EPSILON_FINAL - EPSILON_START) * (progress if progress < 1.0 else 1.0)
 
     def act(self, obs: Observation) -> Action:
-        row = self._q[self.state_index(obs)]
-        # index(max(row)) is the first maximum, as argmax; tables hold no NaN.
-        return self._actions[row.index(max(row))]
+        return self._actions[first_max(self._q[self.state_index(obs)])]
 
     def notify(self, result: StepResult) -> None:
         pass  # only train learns; kept as an override, a patch point of perfbench/tracer.py
@@ -226,7 +230,8 @@ class QLearningAgent(Agent):
         """Run epsilon-greedy Q-learning episodes, each seeded from the agent's
         stream: the draws, observations and rewards of ``SortingLineEnv.reset`` and
         ``step`` (``open_streams``, ``observe_mix``, ``price_step``), without the
-        stages, storage or info that learning does not read."""
+        stages, storage or info that learning does not read.  Each state's greedy
+        action is kept; a row is rescanned only when its greedy entry falls."""
         check_variant(self, config)
         if type(episodes) is not int or episodes < 1:
             raise ConfigError(f"training episodes must be an int of at least 1, got {episodes!r}")
@@ -237,23 +242,28 @@ class QLearningAgent(Agent):
         self._steps_done = 0
         q, visits, actions, stream = self._q, self._visits, self._actions, self._stream
         state_index, epsilon, discount = self.state_index, self.epsilon, self.discount
+        best = [first_max(row) for row in q]  # each state's greedy action, kept through the updates
         for _ in range(episodes):
             generator, sorting_stream, obs_stream = open_streams(config, stream.getrandbits(63))
             draw = generator.draw
             obs, occ = observe_mix(draw(), config, obs_stream)
             state, last = state_index(obs), 0
             for step in range(1, steps + 1):
-                row = q[state]
-                index = stream.randrange(len(actions)) if stream.random() < epsilon() else row.index(max(row))
+                row, greedy = q[state], best[state]
+                index = stream.randrange(len(actions)) if stream.random() < epsilon() else greedy
                 action = actions[index]
                 _, target = price_step(action, occ, obs.ratio_category, config, sorting_stream, last)
                 last = action.speed_index
                 obs, occ = observe_mix(draw(), config, obs_stream)
                 next_state = state_index(obs)
                 if step < steps:
-                    target += discount * max(q[next_state])
+                    target += discount * q[next_state][best[next_state]]
                 value = row[index]
-                row[index] = value + LEARNING_RATE * (target - value)
+                row[index] = new = value + LEARNING_RATE * (target - value)
+                if index == greedy and new < value:  # the greedy entry fell: another may lead now
+                    best[state] = first_max(row)
+                elif new > row[greedy] or new == row[greedy] and index < greedy:  # it leads now
+                    best[state] = index
                 visits[state] += 1
                 self._steps_done += 1
                 state = next_state

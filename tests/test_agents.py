@@ -33,17 +33,48 @@ def outcome(next_total: float, reward: float, done: bool = False) -> StepResult:
     return StepResult(Observation(next_total), reward, done, {})
 
 
-def train_scripted(monkeypatch, agent, totals, rewards):
+class ScriptedExploration:
+    """Stand-in agent stream for ``train`` at epsilon 0: step by step it explores
+    the scripted action index, or lets the agent act greedily on ``None``."""
+
+    def __init__(self, picks):
+        self._picks = iter(picks)
+        self._pick = None
+
+    def getrandbits(self, bits):
+        return 0
+
+    def random(self):
+        self._pick = next(self._picks)
+        return 1.0 if self._pick is None else -1.0  # -1.0 lies below epsilon 0: explore
+
+    def randrange(self, stop):
+        return self._pick
+
+
+def train_scripted(monkeypatch, agent, totals, rewards, explore=None):
     """Train ``agent`` greedily (epsilon 0) for one basic episode of
     ``len(rewards)`` steps whose observed totals are ``totals`` (one more than
-    the steps) and whose step rewards are ``rewards``."""
+    the steps) and whose step rewards are ``rewards``.  ``explore`` may name,
+    step by step, an action index to explore instead (``None``: greedy).
+    Returns each step's priced action index with a copy of the table as it
+    stood before that step's update."""
     observed = iter([(Observation(total), total) for total in totals])
     paid = iter(rewards)
+    priced = []
+
+    def scripted_price_step(action, *rest):
+        priced.append((ACTIONS[agent.variant].index(action), [row[:] for row in agent._q]))
+        return 1.0, next(paid)
+
     monkeypatch.setattr(agents, "observe_mix", lambda mix, config, stream: next(observed))
-    monkeypatch.setattr(agents, "price_step", lambda *args: (1.0, next(paid)))
+    monkeypatch.setattr(agents, "price_step", scripted_price_step)
     agent.epsilon = lambda: 0.0
+    if explore is not None:
+        agent._stream = ScriptedExploration(explore)
     agent.train(EnvConfig(), episodes=1, steps_per_episode=len(rewards))
     assert next(observed, None) is None and next(paid, None) is None
+    return priced
 
 
 def explored_actions(monkeypatch, agent, steps):
@@ -364,6 +395,34 @@ class TestQLearningAgent:
         assert agent._q[state][:3] == [1.0, 3.0 + LEARNING_RATE * (1.0 - 3.0), 3.0]
         assert agent.visits.sum() == agent.visits[state] == 1
 
+    def test_training_keeps_each_states_greedy_action_the_first_maximum(self, monkeypatch):
+        def td(value, target):
+            return value + LEARNING_RATE * (target - value)
+
+        # One state, its own next state at every step: each bootstrapped target
+        # is the reward plus 0.5 times the row's maximum before the update, 4.0.
+        assert td(2.0, 22.0) == td(3.0, 13.0) == 4.0
+        agent = QLearningAgent(EnvVariant.BASIC, discount=0.5)
+        state = bin_index(0.52)
+        agent._q[state][:5] = [1.0, 2.0, 4.0, 4.0, 3.0]
+        replayed = agent._q[state][:]
+        explore, rewards = [None, 1, 4, None, None], [-2.0, 20.0, 11.0, -2.0, 1.0]
+        priced = train_scripted(monkeypatch, agent, [0.52] * 6, rewards, explore)
+        rows = [table[state] for _, table in priced]
+
+        assert [index for index, _ in priced] == [2, 1, 4, 1, 3]
+        for (index, _), row, pick in zip(priced, rows, explore):
+            assert index == (row.index(max(row)) if pick is None else pick)
+        assert rows[1][2] < rows[1][3] == max(rows[1])  # 1: the greedy entry 2 fell below entry 3
+        assert rows[2][1] == rows[2][3] == max(rows[2])  # 2: entry 1 tied the maximum below entry 3
+        assert rows[3][4] == rows[3][1] == max(rows[3])  # 3: entry 4 tied it above entry 1
+        assert rows[4][1] < rows[4][3] == max(rows[4])  # 4: the greedy entry 1 fell
+        # The same table as TD updates that scan the row for every bootstrap.
+        for step, ((index, _), reward) in enumerate(zip(priced, rewards), 1):
+            target = reward + 0.5 * max(replayed) if step < len(rewards) else reward
+            replayed[index] = td(replayed[index], target)
+        assert agent._q[state] == replayed
+
     def test_values_and_visits_are_read_only_snapshots(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=0)
         with pytest.raises(ValueError, match="read-only"):
@@ -494,6 +553,20 @@ class TestQLearningAgent:
     def test_discount_must_lie_in_the_unit_interval(self, discount):
         with pytest.raises(ValueError):
             QLearningAgent(EnvVariant.BASIC, discount=discount)
+
+    @pytest.mark.parametrize("discount", [True, False, "0.5", None, np.float64(0.5), [0.5]],
+                             ids=["True", "False", "str", "None", "numpy-float64", "list"])
+    def test_discount_must_be_an_int_or_a_float(self, discount):
+        with pytest.raises(ValueError, match="discount must be an int or float in \\[0, 1\\]"):
+            QLearningAgent(EnvVariant.BASIC, discount=discount)
+
+    def test_an_int_discount_is_kept_as_a_float_and_trains_the_same_table(self):
+        config = EnvConfig()
+        for whole in (0, 1):
+            agent = QLearningAgent(EnvVariant.BASIC, discount=whole, seed=4)
+            assert type(agent.discount) is float and agent.discount == whole
+            fractional = QLearningAgent(EnvVariant.BASIC, discount=float(whole), seed=4)
+            assert agent.train(config, 2, 30)._q == fractional.train(config, 2, 30)._q
 
     @pytest.mark.parametrize("discount", [0.0, 1.0])
     def test_discount_bounds_are_accepted(self, discount):

@@ -162,6 +162,21 @@ class TestSummarize:
         assert type(summary.speed_changes) is int
 
 
+@pytest.mark.parametrize("variant", list(EnvVariant))
+@pytest.mark.parametrize("setup", ["B", "D"])
+def test_the_change_penalty_is_linear_in_the_speed_changes(variant, setup):
+    config = standard_setups(variant)[setup]
+    agent = RuleBasedAgent(config)  # its table ignores the penalty, so every penalty sees the same actions
+    for seed in range(5):
+        _, free = run_episode(replace(config, action_penalty=0.0), agent, seed=seed)
+        assert free.speed_changes > 0
+        for penalty in (0.1, 0.25, 0.5, 1.0):
+            _, paid = run_episode(replace(config, action_penalty=penalty), agent, seed=seed)
+            assert paid.speed_changes == free.speed_changes
+            expected = free.cumulative_reward - penalty * free.speed_changes
+            assert abs(paid.cumulative_reward - expected) <= 1e-9
+
+
 class TestTraceFiles:
     def test_export_layout(self, tmp_path):
         trace, _ = run_episode(EnvConfig(), ConstantAgent(), steps=50, seed=2)
