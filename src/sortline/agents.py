@@ -153,6 +153,13 @@ EPSILON_FINAL = 0.05
 EPSILON_DECAY_FRACTION = 0.5
 
 
+def epsilon(done: int, planned: int) -> float:
+    """Exploration rate after ``done`` of ``planned`` training steps: linear from ``EPSILON_START``
+    to ``EPSILON_FINAL`` over their first ``EPSILON_DECAY_FRACTION``, then ``EPSILON_FINAL``."""
+    progress = done / (planned * EPSILON_DECAY_FRACTION)
+    return EPSILON_START + (EPSILON_FINAL - EPSILON_START) * (progress if progress < 1.0 else 1.0)
+
+
 def _read_only_array(data: list, dtype: str):
     """A numpy copy of ``data`` that refuses writes, which would otherwise be lost."""
     import numpy as np  # here, so only readers of a Q-table pay for numpy's import
@@ -167,11 +174,9 @@ class QLearningAgent(Agent):
 
     Updates step a fraction ``LEARNING_RATE`` (0.1) toward the TD target,
     which discounts the next state's best value by ``discount`` in [0, 1].
-    Epsilon decays linearly from ``EPSILON_START`` (1.0) to ``EPSILON_FINAL``
-    (0.05) over the first ``EPSILON_DECAY_FRACTION`` (half) of the planned
-    training steps, then stays at ``EPSILON_FINAL``.  Only ``train`` explores
-    and learns; ``act`` is always the greedy policy, with ties toward the
-    lower speed index, and ``notify`` ignores what it is told.
+    Only ``train`` explores, at ``epsilon(done, planned)`` over each call's
+    own steps, and learns; ``act`` is always the greedy policy, with ties
+    toward the lower speed index, and ``notify`` ignores what it is told.
 
     The table is plain Python lists, one row of action values per state, and
     ``train`` keeps each state's greedy action through its updates; ``values``
@@ -191,8 +196,6 @@ class QLearningAgent(Agent):
         self._actions = ACTIONS[variant]
         self._q = [[0.0] * len(self._actions) for _ in range(states)]
         self._visits = [0] * states
-        self._planned_steps = 0
-        self._steps_done = 0
 
     @property
     def values(self):
@@ -212,14 +215,6 @@ class QLearningAgent(Agent):
             raise ValueError(f"observation does not match agent variant: {obs}") from None
         return b * len(self._category_index) + category
 
-    def epsilon(self) -> float:
-        """Current exploration rate under the linear decay schedule."""
-        horizon = self._planned_steps * EPSILON_DECAY_FRACTION
-        if horizon <= 0:
-            return EPSILON_FINAL
-        progress = self._steps_done / horizon
-        return EPSILON_START + (EPSILON_FINAL - EPSILON_START) * (progress if progress < 1.0 else 1.0)
-
     def act(self, obs: Observation) -> Action:
         return self._actions[first_max(self._q[self.state_index(obs)])]
 
@@ -230,18 +225,19 @@ class QLearningAgent(Agent):
         """Run epsilon-greedy Q-learning episodes, each seeded from the agent's
         stream: the draws, observations and rewards of ``SortingLineEnv.reset`` and
         ``step`` (``open_streams``, ``observe_mix``, ``price_step``), without the
-        stages, storage or info that learning does not read.  Each state's greedy
-        action is kept; a row is rescanned only when its greedy entry falls."""
+        stages, storage or info that learning does not read.  Step ``done`` of the
+        call's ``planned`` steps explores with probability ``epsilon(done, planned)``,
+        so each call restarts the schedule at 1.0.  Each state's greedy action is
+        kept; a row is rescanned only when its greedy entry falls."""
         check_variant(self, config)
         if type(episodes) is not int or episodes < 1:
             raise ConfigError(f"training episodes must be an int of at least 1, got {episodes!r}")
         steps = check_field("episode_length", steps_per_episode)  # as an env's episode would check it
         if steps < 1:
             raise ConfigError(f"training episode length must be at least 1 step, got {steps}")
-        self._planned_steps = episodes * steps
-        self._steps_done = 0
+        planned, done = episodes * steps, 0
         q, visits, actions, stream = self._q, self._visits, self._actions, self._stream
-        state_index, epsilon, discount = self.state_index, self.epsilon, self.discount
+        state_index, discount = self.state_index, self.discount
         best = [first_max(row) for row in q]  # each state's greedy action, kept through the updates
         for _ in range(episodes):
             generator, sorting_stream, obs_stream = open_streams(config, stream.getrandbits(63))
@@ -250,7 +246,7 @@ class QLearningAgent(Agent):
             state, last = state_index(obs), 0
             for step in range(1, steps + 1):
                 row, greedy = q[state], best[state]
-                index = stream.randrange(len(actions)) if stream.random() < epsilon() else greedy
+                index = stream.randrange(len(actions)) if stream.random() < epsilon(done, planned) else greedy
                 action = actions[index]
                 _, target = price_step(action, occ, obs.ratio_category, config, sorting_stream, last)
                 last = action.speed_index
@@ -265,7 +261,7 @@ class QLearningAgent(Agent):
                 elif new > row[greedy] or new == row[greedy] and index < greedy:  # it leads now
                     best[state] = index
                 visits[state] += 1
-                self._steps_done += 1
+                done += 1
                 state = next_state
         return self
 
@@ -279,13 +275,13 @@ class QLearningAgent(Agent):
             f"actions {len(self._actions)}",
         ]
         lines.extend(" ".join(repr(v) for v in row) for row in self._q)
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
     @classmethod
     def load(cls, path: str | Path) -> "QLearningAgent":
         """Read a table written by ``save``; the loaded agent acts greedily."""
-        lines = Path(path).read_text().splitlines()
         try:
+            lines = Path(path).read_text(encoding="ascii").splitlines()
             magic, version = lines[0].split()
             if magic != QTABLE_MAGIC or int(version) != QTABLE_FORMAT_VERSION:
                 raise ValueError

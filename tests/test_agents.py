@@ -14,6 +14,9 @@ import sortline
 from sortline import agents, env, sorting
 from sortline.agents import (
     BINS,
+    EPSILON_DECAY_FRACTION,
+    EPSILON_FINAL,
+    EPSILON_START,
     LEARNING_RATE,
     QLearningAgent,
     RandomAgent,
@@ -52,6 +55,25 @@ class ScriptedExploration:
         return self._pick
 
 
+class FirstDrawNearOne:
+    """Stand-in agent stream whose first ``random()`` is 0.999 and every later one
+    1.0: only a first step at epsilon above 0.999 explores.  Counts explorations."""
+
+    def __init__(self):
+        self._draws = iter([0.999])
+        self.explored = 0
+
+    def getrandbits(self, bits):
+        return 0
+
+    def random(self):
+        return next(self._draws, 1.0)
+
+    def randrange(self, stop):
+        self.explored += 1
+        return 0
+
+
 def train_scripted(monkeypatch, agent, totals, rewards, explore=None):
     """Train ``agent`` greedily (epsilon 0) for one basic episode of
     ``len(rewards)`` steps whose observed totals are ``totals`` (one more than
@@ -69,7 +91,7 @@ def train_scripted(monkeypatch, agent, totals, rewards, explore=None):
 
     monkeypatch.setattr(agents, "observe_mix", lambda mix, config, stream: next(observed))
     monkeypatch.setattr(agents, "price_step", scripted_price_step)
-    agent.epsilon = lambda: 0.0
+    monkeypatch.setattr(agents, "epsilon", lambda done, planned: 0.0)
     if explore is not None:
         agent._stream = ScriptedExploration(explore)
     agent.train(EnvConfig(), episodes=1, steps_per_episode=len(rewards))
@@ -87,7 +109,7 @@ def explored_actions(monkeypatch, agent, steps):
         return priced(action, *rest)
 
     monkeypatch.setattr(agents, "price_step", recording_price_step)
-    agent.epsilon = lambda: 1.0
+    monkeypatch.setattr(agents, "epsilon", lambda done, planned: 1.0)
     agent.train(EnvConfig(variant=agent.variant), episodes=1, steps_per_episode=steps)
     return picks
 
@@ -486,16 +508,38 @@ class TestQLearningAgent:
         assert not agent.visits.any()
 
     def test_epsilon_decays_linearly_then_floors(self):
-        agent = QLearningAgent(EnvVariant.BASIC)
-        agent._planned_steps = 1000
-        agent._steps_done = 0
-        assert agent.epsilon() == pytest.approx(1.0)
-        agent._steps_done = 250
-        assert agent.epsilon() == pytest.approx(0.525)
-        agent._steps_done = 500
-        assert agent.epsilon() == pytest.approx(0.05)
-        agent._steps_done = 900
-        assert agent.epsilon() == pytest.approx(0.05)
+        assert agents.epsilon(0, 1000) == pytest.approx(1.0)
+        assert agents.epsilon(250, 1000) == pytest.approx(0.525)
+        assert agents.epsilon(500, 1000) == pytest.approx(0.05)
+        assert agents.epsilon(900, 1000) == pytest.approx(0.05)
+
+    def test_epsilon_is_the_floor_from_the_horizon_on(self):
+        floor = EPSILON_START + (EPSILON_FINAL - EPSILON_START)
+        for planned in (1, 2, 7, 250, 100_000):
+            horizon = math.ceil(planned * EPSILON_DECAY_FRACTION)  # the first whole step on or past it
+            assert all(agents.epsilon(done, planned) == floor for done in range(horizon, planned + 1))
+        # 7 planned steps put the horizon at 3.5: step 3 still explores above the floor, step 4 is on it.
+        assert agents.epsilon(3, 7) > floor and agents.epsilon(4, 7) == floor
+        # In floats the floor is 0.05 + 4.4e-17, and no random() draw (a multiple of 2 ** -53)
+        # lies between the two, so the floor explores exactly as EPSILON_FINAL would.
+        assert floor == pytest.approx(EPSILON_FINAL, rel=1e-15)
+        assert math.ceil(EPSILON_FINAL * 2**53) / 2**53 >= floor
+
+    @pytest.mark.parametrize("planned", [1, 7, 250, 100_000])
+    def test_epsilon_starts_at_exactly_one_and_never_increases(self, planned):
+        rates = [agents.epsilon(done, planned) for done in range(planned)]
+        assert rates[0] == EPSILON_START == 1.0
+        assert all(later <= earlier for earlier, later in zip(rates, rates[1:]))
+
+    def test_each_training_call_restarts_the_schedule(self, tmp_path):
+        config = EnvConfig()
+        agent = QLearningAgent(EnvVariant.BASIC, seed=6).train(config, episodes=2, steps_per_episode=50)
+        path = tmp_path / "trained.qt"
+        agent.save(path)
+        for warm in (agent, QLearningAgent.load(path)):
+            warm._stream = stream = FirstDrawNearOne()
+            warm.train(config, episodes=1, steps_per_episode=20)
+            assert stream.explored == 1  # the first step ran at epsilon 1.0
 
     def test_training_is_reproducible(self):
         config = EnvConfig(episode_length=40)
@@ -528,7 +572,7 @@ class TestQLearningAgent:
         with pytest.raises(ConfigError) as episode:
             run_episode(EnvConfig(), agent)
         assert str(training.value) == str(episode.value) == "agent variant advanced does not match config basic"
-        assert not agent.values.any() and agent.visits.sum() == 0 and agent.epsilon() == 0.05
+        assert not agent.values.any() and agent.visits.sum() == 0
         assert agent._stream.getstate() == stream
 
     @pytest.mark.parametrize("episodes", [-3, 0, 2.5, 2.0, True, "2"])
@@ -536,18 +580,21 @@ class TestQLearningAgent:
         agent = QLearningAgent(EnvVariant.BASIC, seed=0)
         with pytest.raises(ConfigError, match="training episodes must be an int of at least 1"):
             agent.train(EnvConfig(), episodes=episodes, steps_per_episode=50)
-        assert agent.visits.sum() == 0 and agent.epsilon() == 0.05
+        assert agent.visits.sum() == 0
 
     @pytest.mark.parametrize("steps", [0, -1, True, 2.5])
     def test_training_needs_a_whole_positive_episode_length(self, steps):
         agent = QLearningAgent(EnvVariant.BASIC, seed=0)
         with pytest.raises(ConfigError, match="episode_length|at least 1 step"):
             agent.train(EnvConfig(), episodes=2, steps_per_episode=steps)
-        assert agent.visits.sum() == 0 and agent.epsilon() == 0.05
+        assert agent.visits.sum() == 0
 
     def test_an_integral_float_episode_length_runs_as_an_int(self):
         agent = QLearningAgent(EnvVariant.BASIC, seed=1).train(EnvConfig(), episodes=2, steps_per_episode=3.0)
-        assert agent.visits.sum() == 6 and type(agent._planned_steps) is int
+        whole = QLearningAgent(EnvVariant.BASIC, seed=1).train(EnvConfig(), episodes=2, steps_per_episode=3)
+        assert agent.visits.sum() == 6
+        assert agent._q == whole._q and agent._visits == whole._visits
+        assert agent._stream.getstate() == whole._stream.getstate()
 
     @pytest.mark.parametrize("discount", [math.nan, math.inf, -0.1, 1.5])
     def test_discount_must_lie_in_the_unit_interval(self, discount):
@@ -582,19 +629,18 @@ class TestQLearningAgent:
 
 
 def reference_train(agent, config, episodes, steps):
-    """Epsilon-greedy Q-learning written out over ``SortingLineEnv.step``, in the
-    agent's table, visits, stream and schedule; returns each episode's input,
-    sorting and observation stream states at its end."""
+    """Epsilon-greedy Q-learning on ``agents.epsilon``, written out over
+    ``SortingLineEnv.step`` in the agent's table, visits and stream; returns each
+    episode's input, sorting and observation stream states at its end."""
     line = env.SortingLineEnv(replace(config, episode_length=steps))
     actions = ACTIONS[config.variant]
-    agent._planned_steps = episodes * steps
-    agent._steps_done = 0
+    steps_run = 0
     states = []
     for _ in range(episodes):
         obs, done = line.reset(seed=agent._stream.getrandbits(63)), False
         while not done:
             state = agent.state_index(obs)
-            if agent._stream.random() < agent.epsilon():
+            if agent._stream.random() < agents.epsilon(steps_run, episodes * steps):
                 index = agent._stream.randrange(len(actions))
             else:
                 index = int(np.argmax(agent._q[state]))
@@ -602,7 +648,7 @@ def reference_train(agent, config, episodes, steps):
             target = reward if done else reward + agent.discount * max(agent._q[agent.state_index(obs)])
             agent._q[state][index] += LEARNING_RATE * (target - agent._q[state][index])
             agent._visits[state] += 1
-            agent._steps_done += 1
+            steps_run += 1
         states.append(tuple(s.getstate() for s in (line._generator._stream, line._sorting_stream, line._obs_stream)))
     return states
 
@@ -634,7 +680,7 @@ class TestTrainingDriver:
 
         assert driven._q == stepped._q
         assert driven._visits == stepped._visits
-        assert driven._steps_done == stepped._steps_done == episodes * steps
+        assert sum(driven._visits) == episodes * steps
         assert driven._stream.getstate() == stepped._stream.getstate()
         # The same number of draws from each env stream, episode by episode.
         driver_states = [
@@ -699,6 +745,20 @@ class TestQTableFiles:
         rows = [" ".join(["0.0"] * 10)] * 20
         path.write_text("\n".join(["sortline-qtable 1", "variant advanced", "bins 20", "actions 10", *rows]) + "\n")
         with pytest.raises(ValueError, match="actions"):
+            QLearningAgent.load(path)
+
+    def test_a_file_that_is_not_ascii_is_not_a_table(self, tmp_path):
+        path = tmp_path / "bom.qt"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ValueError, match="bom.qt is not a recognized table file"):
+            QLearningAgent.load(path)
+
+    def test_values_in_non_ascii_digits_are_refused(self, tmp_path):
+        path = tmp_path / "wide.qt"
+        rows = [" ".join(["\uff11.\uff10"] * 10)] * 20  # fullwidth "1.0", which float() would read
+        path.write_text("\n".join(["sortline-qtable 1", "variant basic", "bins 20", "actions 10", *rows]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="wide.qt is not a recognized table file"):
             QLearningAgent.load(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -107,6 +107,12 @@ class TestTrain:
         assert run_cli("train", *flags, "--train-steps", 5000, "--seed", 7, "--out", table) == 0
         assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
 
+    def test_a_table_file_that_is_not_ascii_is_named(self, tmp_path, capsys):
+        table = tmp_path / "bad.txt"
+        table.write_bytes(b"\xff\xfe")
+        assert run_cli("simulate", "--agent", "qtable", "--table", table, "--out", tmp_path / "trace.csv") == 1
+        assert capsys.readouterr().err == f"error: {table} is not a recognized table file\n"
+
     def test_variant_mismatch_is_reported(self, tmp_path, capsys):
         table = tmp_path / "basic.txt"
         run_cli("train", "--train-steps", 100, "--episode-steps", 50, "--out", table)
