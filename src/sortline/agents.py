@@ -8,10 +8,11 @@ category as well.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from pathlib import Path
 
 from .config import ConfigError, EnvConfig, check_field
-from .env import StepResult, observe_mix, open_streams, price_step
+from .env import StepResult, open_streams, price_step, tape_chunks
 from .rng import AGENT_STREAM, make_stream
 from .types import ACTIONS, MODES, Action, EnvVariant, Observation, SortingMode, validate_action
 
@@ -222,13 +223,13 @@ class QLearningAgent(Agent):
         pass  # only train learns; kept as an override, a patch point of perfbench/tracer.py
 
     def train(self, config: EnvConfig, episodes: int, steps_per_episode: int) -> "QLearningAgent":
-        """Run epsilon-greedy Q-learning episodes, each seeded from the agent's
-        stream: the draws, observations and rewards of ``SortingLineEnv.reset`` and
-        ``step`` (``open_streams``, ``observe_mix``, ``price_step``), without the
-        stages, storage or info that learning does not read.  Step ``done`` of the
-        call's ``planned`` steps explores with probability ``epsilon(done, planned)``,
-        so each call restarts the schedule at 1.0.  Each state's greedy action is
-        kept; a row is rescanned only when its greedy entry falls."""
+        """Run epsilon-greedy Q-learning episodes, each seeded from the agent's stream: the
+        draws, observations and rewards of ``SortingLineEnv.reset`` and ``step`` (``open_streams``,
+        the tape of ``tape_chunks``, each chunk's observed totals binned to states in one pass, and
+        ``price_step``), without the stages, storage or info that learning does not read.  Step
+        ``done`` of the call's ``planned`` steps explores with probability ``epsilon(done, planned)``,
+        so each call restarts the schedule at 1.0.  Each state's greedy action is kept; a row is
+        rescanned only when its greedy entry falls."""
         check_variant(self, config)
         if type(episodes) is not int or episodes < 1:
             raise ConfigError(f"training episodes must be an int of at least 1, got {episodes!r}")
@@ -237,21 +238,21 @@ class QLearningAgent(Agent):
             raise ConfigError(f"training episode length must be at least 1 step, got {steps}")
         planned, done = episodes * steps, 0
         q, visits, actions, stream = self._q, self._visits, self._actions, self._stream
-        state_index, discount = self.state_index, self.discount
+        category_index, per_bin, discount = self._category_index, len(self._category_index), self.discount
         best = [first_max(row) for row in q]  # each state's greedy action, kept through the updates
         for _ in range(episodes):
             generator, sorting_stream, obs_stream = open_streams(config, stream.getrandbits(63))
-            draw = generator.draw
-            obs, occ = observe_mix(draw(), config, obs_stream)
-            state, last = state_index(obs), 0
-            for step in range(1, steps + 1):
+            tape = chain.from_iterable(  # each input's occupancy, true category and observed state
+                zip(occs, cats, [bin_index(total) * per_bin + category_index[cat] for total, cat in zip(totals, cats)])
+                for _, occs, totals, cats in tape_chunks(config, generator, obs_stream, steps + 1)
+            )
+            (occ, correct, state), last = next(tape), 0
+            for step, (next_occ, next_correct, next_state) in enumerate(tape, 1):
                 row, greedy = q[state], best[state]
                 index = stream.randrange(len(actions)) if stream.random() < epsilon(done, planned) else greedy
                 action = actions[index]
-                _, target = price_step(action, occ, obs.ratio_category, config, sorting_stream, last)
+                _, target = price_step(action, occ, correct, config, sorting_stream, last)
                 last = action.speed_index
-                obs, occ = observe_mix(draw(), config, obs_stream)
-                next_state = state_index(obs)
                 if step < steps:
                     target += discount * q[next_state][best[next_state]]
                 value = row[index]
@@ -262,7 +263,7 @@ class QLearningAgent(Agent):
                     best[state] = index
                 visits[state] += 1
                 done += 1
-                state = next_state
+                occ, correct, state = next_occ, next_correct, next_state
         return self
 
     def save(self, path: str | Path) -> None:
@@ -289,6 +290,7 @@ class QLearningAgent(Agent):
             variant = EnvVariant(fields["variant"])
             bins = int(fields["bins"])
             actions = int(fields["actions"])
+            rows = [[float(v) for v in line.split()] for line in lines[4:] if line.strip()]
         except (ValueError, KeyError, IndexError):
             raise ValueError(f"{path} is not a recognized table file") from None
         if bins != BINS:
@@ -296,7 +298,6 @@ class QLearningAgent(Agent):
         agent = cls(variant)
         if actions != len(agent._actions):
             raise ValueError(f"{path}: {actions} actions does not match variant {variant.value}")
-        rows = [[float(v) for v in line.split()] for line in lines[4:] if line.strip()]
         if len(rows) != len(agent._q) or any(len(r) != actions for r in rows):
             raise ValueError(f"{path}: table shape does not match header")
         if not all(math.isfinite(v) for row in rows for v in row):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, NamedTuple
 
 from .config import EnvConfig, check_field
@@ -75,17 +76,27 @@ def open_streams(config: EnvConfig, root: int) -> tuple[InputGenerator, random.R
     return generator, make_stream(root, SORTING_STREAM), make_stream(root, OBSERVATION_STREAM)
 
 
-def observe_mix(mix: MaterialMix, config: EnvConfig, stream: random.Random) -> tuple[Observation, float]:
-    """An input mix's observation (its normalized total, perturbed by one multiplicative
-    uniform draw of ``stream``, plus its true ratio category in the advanced variant)
-    and the mix's occupancy."""
-    level = config.obs_noise_level
+# Inputs an episode's tape draws at a time, ahead of the steps (no draw depends on the actions).
+TAPE_CHUNK = 256
+
+
+def draw_tape(config: EnvConfig, generator: InputGenerator, obs_stream: random.Random, count: int) -> tuple[list, ...]:
+    """The next ``count`` inputs of an episode as columns: the mixes, one ``generator.draw()`` each; their
+    occupancies; their totals as observed, each perturbed by one multiplicative uniform draw of ``obs_stream``
+    (even at zero noise level); their true ratio categories, ``None`` in the basic variant."""
+    draw, uniform01, level = generator.draw, obs_stream.random, config.obs_noise_level
+    mixes = [draw() for _ in range(count)]
+    occs = [occupancy(mix) for mix in mixes]
     # uniform(-level, level) written out; level + level is exactly level - (-level).
-    u = -level + (level + level) * stream.random()
-    occ = occupancy(mix)
-    category = classify_ratio(mix) if config.variant is EnvVariant.ADVANCED else None
-    # Built in C by tuple.__new__, as is StepResult: NamedTuple's generated __new__ runs Python.
-    return tuple.__new__(Observation, (clamp01(occ * (1.0 + u)), category)), occ
+    totals = [clamp01(occ * (1.0 + (-level + (level + level) * uniform01()))) for occ in occs]
+    advanced = config.variant is EnvVariant.ADVANCED
+    return mixes, occs, totals, [classify_ratio(mix) for mix in mixes] if advanced else [None] * count
+
+
+def tape_chunks(config: EnvConfig, generator: InputGenerator, obs_stream: random.Random, entries: int):
+    """``draw_tape``'s columns for an episode's first ``entries`` inputs, ``TAPE_CHUNK`` at most at a time, as read."""
+    for start in range(0, entries, TAPE_CHUNK):
+        yield draw_tape(config, generator, obs_stream, min(TAPE_CHUNK, entries - start))
 
 
 def price_step(
@@ -110,10 +121,10 @@ class SortingLineEnv:
         self.config = config
         self._state: EnvState | None = None
         self._generator: InputGenerator | None = None
-        self._sorting_stream = None
-        self._obs_stream = None
+        self._sorting_stream = self._obs_stream = None
+        self._tape = None  # the episode's (mix, occupancy, observed total, category) entries yet to come
         self._obs: Observation | None = None
-        self._input_occupancy = 0.0  # occupancy(state.input), taken with _obs
+        self._input_occupancy = 0.0  # occupancy(state.input), read with _obs
 
     @property
     def state(self) -> EnvState:
@@ -125,8 +136,12 @@ class SortingLineEnv:
         """Start a fresh episode; ``seed`` overrides the configured root seed."""
         root = self.config.seed if seed is None else check_field("seed", seed)
         self._generator, self._sorting_stream, self._obs_stream = open_streams(self.config, root)
+        chunks = tape_chunks(self.config, self._generator, self._obs_stream, self.config.episode_length + 1)
+        self._tape = chain.from_iterable(zip(*columns) for columns in chunks)  # the first input, then one per step
+        mix, self._input_occupancy, total, category = next(self._tape)
+        self._obs = tuple.__new__(Observation, (total, category))
         self._state = EnvState(
-            input=self._generator.draw(),
+            input=mix,
             belt=EMPTY_MIX,
             machine=EMPTY_MIX,
             storage=StorageTally(),
@@ -135,13 +150,11 @@ class SortingLineEnv:
             machine_accuracy=1.0,
             step_count=0,
         )
-        self._obs, self._input_occupancy = observe_mix(self._state.input, self.config, self._obs_stream)
         return self.observe()
 
     def observe(self) -> Observation:
-        """Observation of the input stage, taken by ``observe_mix`` once per fresh input
-        (one draw, even at zero noise level) by reset() and step().  Repeated calls
-        return the same observation; before reset() this raises ``RuntimeError``."""
+        """Observation of the input stage, read with each fresh input from the episode's tape (``draw_tape``) by
+        reset() and step().  Repeated calls return it again; before reset() this raises ``RuntimeError``."""
         self._state or self.state  # the property raises before reset()
         return self._obs
 
@@ -149,11 +162,11 @@ class SortingLineEnv:
         """Advance the line one step:
 
         1. sort the machine contents into storage, in place, at their carried accuracy
-        2. shift belt -> machine, input -> belt, draw fresh input
+        2. shift belt -> machine, input -> belt, read the fresh input and its observation from the tape
         3. apply the action's speed (and mode) to the belt batch, by ``price_step``
-        4. recompute accuracy for the belt batch (occupancy and category computed once, as input)
+        4. recompute accuracy for the belt batch (occupancy and category drawn with it on the tape)
         5. reward from that accuracy and speed, minus the penalty if the speed differs from the last step's
-        6. observe the fresh input
+        6. observe the fresh input, as the tape drew it
         """
         state = self._state or self.state  # the property raises before reset()
         config = self.config
@@ -167,7 +180,7 @@ class SortingLineEnv:
         state.machine = state.belt
         state.machine_accuracy = state.accuracy
         state.belt = state.input
-        state.input = self._generator.draw()
+        state.input, self._input_occupancy, total, category = next(self._tape)
 
         accuracy, reward = price_step(action, occ, correct, config, self._sorting_stream, state.speed_index)
         state.speed_index, state.accuracy = action.speed_index, accuracy
@@ -180,5 +193,6 @@ class SortingLineEnv:
             "purity": purity(state.storage),
             "mode_correct": None if action.mode is None else action.mode is correct,
         }
-        self._obs, self._input_occupancy = observe_mix(state.input, config, self._obs_stream)
+        # Built in C by tuple.__new__, as is StepResult: NamedTuple's generated __new__ runs Python.
+        self._obs = tuple.__new__(Observation, (total, category))
         return tuple.__new__(StepResult, (self._obs, reward, step_count >= config.episode_length, info))

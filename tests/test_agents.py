@@ -1,5 +1,6 @@
 """Agent policies: discretization, rule-based table, Q-learning mechanics."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -81,15 +82,20 @@ def train_scripted(monkeypatch, agent, totals, rewards, explore=None):
     step by step, an action index to explore instead (``None``: greedy).
     Returns each step's priced action index with a copy of the table as it
     stood before that step's update."""
-    observed = iter([(Observation(total), total) for total in totals])
+    observed = iter(totals)
     paid = iter(rewards)
     priced = []
+
+    def scripted_draw_tape(config, generator, obs_stream, count):
+        chunk = list(itertools.islice(observed, count))  # each total also stands as its input's occupancy
+        assert len(chunk) == count
+        return [None] * count, chunk, chunk, [None] * count
 
     def scripted_price_step(action, *rest):
         priced.append((ACTIONS[agent.variant].index(action), [row[:] for row in agent._q]))
         return 1.0, next(paid)
 
-    monkeypatch.setattr(agents, "observe_mix", lambda mix, config, stream: next(observed))
+    monkeypatch.setattr(env, "draw_tape", scripted_draw_tape)
     monkeypatch.setattr(agents, "price_step", scripted_price_step)
     monkeypatch.setattr(agents, "epsilon", lambda done, planned: 0.0)
     if explore is not None:
@@ -661,7 +667,7 @@ class TestTrainingDriver:
 
     @pytest.mark.parametrize("config", CELLS.values(), ids=CELLS.keys())
     @pytest.mark.parametrize("seed", [3, 71])
-    @pytest.mark.parametrize("steps", [1, 7, 250])
+    @pytest.mark.parametrize("steps", [1, 7, 250, 515])  # 515: three tape chunks of 256 inputs
     @pytest.mark.parametrize("discount", [0.0, 0.9, 1.0])
     def test_the_driver_matches_stepping_the_env(self, monkeypatch, config, seed, steps, discount):
         episodes = 2
@@ -759,6 +765,14 @@ class TestQTableFiles:
         path.write_text("\n".join(["sortline-qtable 1", "variant basic", "bins 20", "actions 10", *rows]) + "\n",
                         encoding="utf-8")
         with pytest.raises(ValueError, match="wide.qt is not a recognized table file"):
+            QLearningAgent.load(path)
+
+    def test_a_value_that_is_not_a_number_names_the_file(self, tmp_path):
+        path = tmp_path / "badrow.qt"
+        rows = [" ".join(["1.0"] * 10)] * 20
+        rows[3] = " ".join(["1.0"] * 9 + ["abc"])
+        path.write_text("\n".join(["sortline-qtable 1", "variant basic", "bins 20", "actions 10", *rows]) + "\n")
+        with pytest.raises(ValueError, match="badrow.qt is not a recognized table file"):
             QLearningAgent.load(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -113,6 +113,16 @@ class TestTrain:
         assert run_cli("simulate", "--agent", "qtable", "--table", table, "--out", tmp_path / "trace.csv") == 1
         assert capsys.readouterr().err == f"error: {table} is not a recognized table file\n"
 
+    def test_a_table_row_that_is_not_numeric_is_named(self, tmp_path, capsys):
+        table = tmp_path / "badrow.txt"
+        assert run_cli("train", "--train-steps", 100, "--episode-steps", 50, "--out", table) == 0
+        lines = table.read_text().splitlines()
+        lines[4] = " ".join(["abc"] + lines[4].split()[1:])
+        table.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("simulate", "--agent", "qtable", "--table", table, "--out", tmp_path / "trace.csv") == 1
+        assert capsys.readouterr().err == f"error: {table} is not a recognized table file\n"
+
     def test_variant_mismatch_is_reported(self, tmp_path, capsys):
         table = tmp_path / "basic.txt"
         run_cli("train", "--train-steps", 100, "--episode-steps", 50, "--out", table)

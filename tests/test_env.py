@@ -9,7 +9,8 @@ import pytest
 from sortline.bench import standard_setups
 from sortline.config import ConfigError, EnvConfig
 from sortline.env import EpisodeDoneError, SortingLineEnv, StepResult, price_step
-from sortline.rng import OBSERVATION_STREAM, make_stream
+from sortline.inputs import make_generator
+from sortline.rng import INPUT_STREAM, OBSERVATION_STREAM, SORTING_STREAM, make_stream
 from sortline.sorting import (
     clamp01,
     classify_ratio,
@@ -348,6 +349,73 @@ class TestEpisodeBoundary:
         env.step(Action(2))
         env.reset(seed=3)
         assert env.step(Action(2)).done is True
+
+
+CHUNK = 256  # env.TAPE_CHUNK: the inputs an episode's tape draws at a time
+
+
+class TestTape:
+    """reset() and step() read each input and its observation from a tape drawn a
+    chunk at a time; across chunk boundaries they must see exactly what one input
+    draw and one stdlib observation draw per step give, and never draw further ahead."""
+
+    @staticmethod
+    def stepped_against_reference(monkeypatch, config, seed, steps):
+        """Step an env ``steps`` times, comparing each input, observation and belt
+        occupancy with draws made step by step; an input drawn ``CHUNK`` or more
+        entries ahead of the one read fails at once.  Returns the env and the
+        reference input, sorting and observation streams."""
+        level, advanced = config.obs_noise_level, config.variant is EnvVariant.ADVANCED
+        generator = make_generator(config.input_type, make_stream(seed, INPUT_STREAM))
+        noise, sorting = make_stream(seed, OBSERVATION_STREAM), make_stream(seed, SORTING_STREAM)
+        read, drawn = [1], [0]  # reset reads the first input
+        draw = type(generator).draw
+
+        def guarded_draw(self):
+            if self is not generator:
+                drawn[0] += 1
+                assert drawn[0] < read[0] + CHUNK, f"input {drawn[0]} drawn while reading input {read[0]}"
+            return draw(self)
+
+        monkeypatch.setattr(type(generator), "draw", guarded_draw)
+
+        def expected():
+            mix = generator.draw()
+            total = clamp01(occupancy(mix) * (1.0 + noise.uniform(-level, level)))
+            return mix, Observation(total, classify_ratio(mix) if advanced else None)
+
+        line = SortingLineEnv(config)
+        observation = line.reset(seed=seed)
+        actions = ACTIONS[config.variant]
+        for t in range(steps + 1):
+            mix, want = expected()
+            assert (observation, line.state.input) == (want, mix), t
+            if t == steps:
+                return line, (generator._stream, sorting, noise)
+            read[0] += 1
+            result = line.step(actions[t % len(actions)])
+            sorting.random()  # the step's one accuracy draw
+            assert result.info["occupancy"] == occupancy(mix), t
+            observation = result.observation
+
+    @pytest.mark.parametrize("variant", list(EnvVariant))
+    @pytest.mark.parametrize("input_type", list(InputType))
+    @pytest.mark.parametrize("length", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_episodes_across_chunk_boundaries_match_drawing_step_by_step(
+        self, monkeypatch, variant, input_type, length,
+    ):
+        config = EnvConfig(variant=variant, input_type=input_type, obs_noise_level=0.3, episode_length=length)
+        line, reference = self.stepped_against_reference(monkeypatch, config, 13, length)
+        assert line.state.step_count == length
+        # The first input and one per step: no draw beyond what stepping draws.
+        streams = (line._generator._stream, line._sorting_stream, line._obs_stream)
+        assert [s.getstate() for s in streams] == [s.getstate() for s in reference]
+
+    def test_a_long_episode_is_not_drawn_ahead(self, monkeypatch):
+        config = EnvConfig(variant=EnvVariant.ADVANCED, input_type=InputType.SEASONAL, obs_noise_level=0.3,
+                           episode_length=10**12)
+        line, _ = self.stepped_against_reference(monkeypatch, config, 13, 2 * CHUNK + 3)
+        assert not line.step(Action(1, SortingMode.BASIC)).done
 
 
 class TestConservationAndDeterminism:
