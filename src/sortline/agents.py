@@ -12,7 +12,7 @@ from itertools import chain
 from pathlib import Path
 
 from .config import ConfigError, EnvConfig, check_field
-from .env import StepResult, open_streams, price_step, tape_chunks
+from .env import StepResult, open_episode, price_step
 from .rng import AGENT_STREAM, make_stream
 from .types import ACTIONS, MODES, Action, EnvVariant, Observation, SortingMode, validate_action
 
@@ -224,8 +224,8 @@ class QLearningAgent(Agent):
 
     def train(self, config: EnvConfig, episodes: int, steps_per_episode: int) -> "QLearningAgent":
         """Run epsilon-greedy Q-learning episodes, each seeded from the agent's stream: the
-        draws, observations and rewards of ``SortingLineEnv.reset`` and ``step`` (``open_streams``,
-        the tape of ``tape_chunks``, each chunk's observed totals binned to states in one pass, and
+        draws, observations and rewards of ``SortingLineEnv.reset`` and ``step`` (``open_episode``'s
+        sorting stream and tape, each chunk's observed totals binned to states in one pass, and
         ``price_step``), without the stages, storage or info that learning does not read.  Step
         ``done`` of the call's ``planned`` steps explores with probability ``epsilon(done, planned)``,
         so each call restarts the schedule at 1.0.  Each state's greedy action is kept; a row is
@@ -241,10 +241,10 @@ class QLearningAgent(Agent):
         category_index, per_bin, discount = self._category_index, len(self._category_index), self.discount
         best = [first_max(row) for row in q]  # each state's greedy action, kept through the updates
         for _ in range(episodes):
-            generator, sorting_stream, obs_stream = open_streams(config, stream.getrandbits(63))
+            sorting_stream, chunks = open_episode(config, stream.getrandbits(63), steps + 1)
             tape = chain.from_iterable(  # each input's occupancy, true category and observed state
                 zip(occs, cats, [bin_index(total) * per_bin + category_index[cat] for total, cat in zip(totals, cats)])
-                for _, occs, totals, cats in tape_chunks(config, generator, obs_stream, steps + 1)
+                for _, occs, totals, cats in chunks
             )
             (occ, correct, state), last = next(tape), 0
             for step, (next_occ, next_correct, next_state) in enumerate(tape, 1):

@@ -53,6 +53,8 @@ def _config_from_args(args: argparse.Namespace) -> EnvConfig:
 
 def _make_agent(args: argparse.Namespace, config: EnvConfig):
     if args.agent != QLearningAgent.name:
+        if args.table:
+            raise ConfigError("--table applies only to --agent qtable")
         return default_agent_factories()[args.agent](config, config.seed)
     if not args.table:
         raise ConfigError("--agent qtable needs --table FILE (see the train command)")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from .config import EnvConfig, check_field
 from .inputs import InputGenerator, make_generator
@@ -70,12 +70,6 @@ class StepResult(NamedTuple):
     info: dict[str, Any]
 
 
-def open_streams(config: EnvConfig, root: int) -> tuple[InputGenerator, random.Random, random.Random]:
-    """An episode's input generator, sorting stream and observation stream for root seed ``root``."""
-    generator = make_generator(config.input_type, make_stream(root, INPUT_STREAM))
-    return generator, make_stream(root, SORTING_STREAM), make_stream(root, OBSERVATION_STREAM)
-
-
 # Inputs an episode's tape draws at a time, ahead of the steps (no draw depends on the actions).
 TAPE_CHUNK = 256
 
@@ -93,10 +87,13 @@ def draw_tape(config: EnvConfig, generator: InputGenerator, obs_stream: random.R
     return mixes, occs, totals, [classify_ratio(mix) for mix in mixes] if advanced else [None] * count
 
 
-def tape_chunks(config: EnvConfig, generator: InputGenerator, obs_stream: random.Random, entries: int):
-    """``draw_tape``'s columns for an episode's first ``entries`` inputs, ``TAPE_CHUNK`` at most at a time, as read."""
-    for start in range(0, entries, TAPE_CHUNK):
-        yield draw_tape(config, generator, obs_stream, min(TAPE_CHUNK, entries - start))
+def open_episode(config: EnvConfig, root: int, entries: int) -> tuple[random.Random, Iterator[tuple[list, ...]]]:
+    """Root seed ``root``'s sorting stream, and ``draw_tape``'s columns for the episode's first ``entries``
+    inputs (from its input and observation streams), ``TAPE_CHUNK`` at most at a time, each drawn as read."""
+    generator = make_generator(config.input_type, make_stream(root, INPUT_STREAM))
+    sorting_stream, obs_stream = make_stream(root, SORTING_STREAM), make_stream(root, OBSERVATION_STREAM)
+    starts = range(0, entries, TAPE_CHUNK)
+    return sorting_stream, (draw_tape(config, generator, obs_stream, min(TAPE_CHUNK, entries - s)) for s in starts)
 
 
 def price_step(
@@ -120,8 +117,7 @@ class SortingLineEnv:
     def __init__(self, config: EnvConfig):
         self.config = config
         self._state: EnvState | None = None
-        self._generator: InputGenerator | None = None
-        self._sorting_stream = self._obs_stream = None
+        self._sorting_stream = None
         self._tape = None  # the episode's (mix, occupancy, observed total, category) entries yet to come
         self._obs: Observation | None = None
         self._input_occupancy = 0.0  # occupancy(state.input), read with _obs
@@ -135,8 +131,7 @@ class SortingLineEnv:
     def reset(self, seed: int | None = None) -> Observation:
         """Start a fresh episode; ``seed`` overrides the configured root seed."""
         root = self.config.seed if seed is None else check_field("seed", seed)
-        self._generator, self._sorting_stream, self._obs_stream = open_streams(self.config, root)
-        chunks = tape_chunks(self.config, self._generator, self._obs_stream, self.config.episode_length + 1)
+        self._sorting_stream, chunks = open_episode(self.config, root, self.config.episode_length + 1)
         self._tape = chain.from_iterable(zip(*columns) for columns in chunks)  # the first input, then one per step
         mix, self._input_occupancy, total, category = next(self._tape)
         self._obs = tuple.__new__(Observation, (total, category))

@@ -112,9 +112,10 @@ ACTIONS = {v: tuple(Action(s, m) for s in SPEED_INDICES for m in MODES[v]) for v
 
 def validate_action(action: Action, variant: EnvVariant) -> None:
     """Raise ``ValueError`` unless the mode is one the variant takes (``Action`` checks the speed)."""
-    if action.mode not in MODES[variant]:
+    if (mode := action.mode) not in MODES[variant]:
         names = "|".join(m.value if m else "none" for m in MODES[variant])
-        raise ValueError(f"{variant.value} variant takes mode {names}, got {action.mode!r}")
+        got = mode.value if isinstance(mode, SortingMode) else "none" if mode is None else repr(mode)
+        raise ValueError(f"{variant.value} variant takes mode {names}, got {got}")
 
 
 def action_count(variant: EnvVariant) -> int:

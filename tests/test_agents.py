@@ -29,6 +29,7 @@ from sortline.agents import (
 from sortline.config import ConfigError, EnvConfig
 from sortline.env import StepResult
 from sortline.bench import run_episode, standard_setups
+from sortline.rng import INPUT_STREAM, OBSERVATION_STREAM, SORTING_STREAM, make_stream
 from sortline.sorting import BELOW_THRESHOLD_REWARD
 from sortline.types import ACTIONS, MODES, Action, EnvVariant, Observation, SortingMode
 
@@ -634,14 +635,31 @@ class TestQLearningAgent:
         assert agent.visits[3:17].min() > 0
 
 
+def record_streams(monkeypatch):
+    """Patch ``env.make_stream`` to append each stream it makes, with its label, to the returned list."""
+    opened = []
+
+    def recording_make_stream(root, label):
+        opened.append((label, make_stream(root, label)))
+        return opened[-1][1]
+
+    monkeypatch.setattr(env, "make_stream", recording_make_stream)
+    return opened
+
+
+def episode_states(opened):
+    """The input, sorting and observation stream states of each episode in a ``record_streams`` list."""
+    episodes = [dict(opened[i:i + 3]) for i in range(0, len(opened), 3)]
+    return [tuple(streams[label].getstate() for label in (INPUT_STREAM, SORTING_STREAM, OBSERVATION_STREAM))
+            for streams in episodes]
+
+
 def reference_train(agent, config, episodes, steps):
     """Epsilon-greedy Q-learning on ``agents.epsilon``, written out over
-    ``SortingLineEnv.step`` in the agent's table, visits and stream; returns each
-    episode's input, sorting and observation stream states at its end."""
+    ``SortingLineEnv.step`` in the agent's table, visits and stream."""
     line = env.SortingLineEnv(replace(config, episode_length=steps))
     actions = ACTIONS[config.variant]
     steps_run = 0
-    states = []
     for _ in range(episodes):
         obs, done = line.reset(seed=agent._stream.getrandbits(63)), False
         while not done:
@@ -655,8 +673,6 @@ def reference_train(agent, config, episodes, steps):
             agent._q[state][index] += LEARNING_RATE * (target - agent._q[state][index])
             agent._visits[state] += 1
             steps_run += 1
-        states.append(tuple(s.getstate() for s in (line._generator._stream, line._sorting_stream, line._obs_stream)))
-    return states
 
 
 class TestTrainingDriver:
@@ -671,29 +687,20 @@ class TestTrainingDriver:
     @pytest.mark.parametrize("discount", [0.0, 0.9, 1.0])
     def test_the_driver_matches_stepping_the_env(self, monkeypatch, config, seed, steps, discount):
         episodes = 2
-        opened = []
-
-        def recording_open_streams(*args):
-            opened.append(env_open_streams(*args))
-            return opened[-1]
-
-        env_open_streams = env.open_streams
-        monkeypatch.setattr(agents, "open_streams", recording_open_streams)
+        opened = record_streams(monkeypatch)
         driven = QLearningAgent(config.variant, discount=discount, seed=seed).train(config, episodes, steps)
-        monkeypatch.undo()
+        driver_states = episode_states(opened)
+        opened.clear()
         stepped = QLearningAgent(config.variant, discount=discount, seed=seed)
-        env_states = reference_train(stepped, config, episodes, steps)
+        reference_train(stepped, config, episodes, steps)
 
         assert driven._q == stepped._q
         assert driven._visits == stepped._visits
         assert sum(driven._visits) == episodes * steps
         assert driven._stream.getstate() == stepped._stream.getstate()
         # The same number of draws from each env stream, episode by episode.
-        driver_states = [
-            (generator._stream.getstate(), sorting_stream.getstate(), obs_stream.getstate())
-            for generator, sorting_stream, obs_stream in opened
-        ]
-        assert driver_states == env_states
+        assert len(driver_states) == episodes
+        assert driver_states == episode_states(opened)
 
 
 class TestQTableFiles:

@@ -55,6 +55,13 @@ class TestSimulate:
         assert run_cli("simulate", "--agent", "qtable", "--out", out) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("agent", [[], ["--agent", "random"]], ids=["default", "random"])
+    def test_a_table_is_refused_for_any_other_agent(self, tmp_path, capsys, agent):
+        out = tmp_path / "trace.csv"
+        assert run_cli("simulate", *agent, "--table", tmp_path / "q.txt", "--out", out) == 1
+        assert capsys.readouterr().err == "error: --table applies only to --agent qtable\n"
+        assert not out.exists()
+
     def test_random_agent_is_seeded(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -6,9 +6,10 @@ from dataclasses import astuple, replace
 
 import pytest
 
+from sortline import env as env_module
 from sortline.bench import standard_setups
 from sortline.config import ConfigError, EnvConfig
-from sortline.env import EpisodeDoneError, SortingLineEnv, StepResult, price_step
+from sortline.env import EpisodeDoneError, SortingLineEnv, StepResult, open_episode, price_step
 from sortline.inputs import make_generator
 from sortline.rng import INPUT_STREAM, OBSERVATION_STREAM, SORTING_STREAM, make_stream
 from sortline.sorting import (
@@ -354,17 +355,49 @@ class TestEpisodeBoundary:
 CHUNK = 256  # env.TAPE_CHUNK: the inputs an episode's tape draws at a time
 
 
+def stream_states(streams):
+    return {label: stream.getstate() for label, stream in streams.items()}
+
+
 class TestTape:
     """reset() and step() read each input and its observation from a tape drawn a
     chunk at a time; across chunk boundaries they must see exactly what one input
     draw and one stdlib observation draw per step give, and never draw further ahead."""
 
     @staticmethod
-    def stepped_against_reference(monkeypatch, config, seed, steps):
+    def record_streams(monkeypatch):
+        """Patch ``env.make_stream`` to keep the last stream it made for each label in the returned dict."""
+        opened = {}
+
+        def recording_make_stream(root, label):
+            opened[label] = make_stream(root, label)
+            return opened[label]
+
+        monkeypatch.setattr(env_module, "make_stream", recording_make_stream)
+        return opened
+
+    @pytest.mark.parametrize("entries", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_opening_an_episode_draws_nothing_until_a_chunk_is_read(self, monkeypatch, entries):
+        config = EnvConfig(variant=EnvVariant.ADVANCED, input_type=InputType.SEASONAL, obs_noise_level=0.3)
+        opened = self.record_streams(monkeypatch)
+        sorting_stream, chunks = open_episode(config, 13, entries)
+        assert sorting_stream is opened[SORTING_STREAM]
+        fresh = {label: make_stream(13, label) for label in (INPUT_STREAM, SORTING_STREAM, OBSERVATION_STREAM)}
+        assert stream_states(opened) == stream_states(fresh)
+        lengths = []
+        for columns in chunks:  # mixes, occupancies, observed totals, categories
+            assert len(columns) == 4 and len({len(column) for column in columns}) == 1
+            lengths.append(len(columns[0]))
+        assert lengths[:-1] == [CHUNK] * (len(lengths) - 1) and 0 < lengths[-1] <= CHUNK
+        assert sum(lengths) == entries
+
+    @classmethod
+    def stepped_against_reference(cls, monkeypatch, config, seed, steps):
         """Step an env ``steps`` times, comparing each input, observation and belt
         occupancy with draws made step by step; an input drawn ``CHUNK`` or more
-        entries ahead of the one read fails at once.  Returns the env and the
-        reference input, sorting and observation streams."""
+        entries ahead of the one read fails at once.  Returns the env, its input,
+        sorting and observation streams, and the reference streams, each by label."""
+        opened = cls.record_streams(monkeypatch)
         level, advanced = config.obs_noise_level, config.variant is EnvVariant.ADVANCED
         generator = make_generator(config.input_type, make_stream(seed, INPUT_STREAM))
         noise, sorting = make_stream(seed, OBSERVATION_STREAM), make_stream(seed, SORTING_STREAM)
@@ -391,7 +424,8 @@ class TestTape:
             mix, want = expected()
             assert (observation, line.state.input) == (want, mix), t
             if t == steps:
-                return line, (generator._stream, sorting, noise)
+                reference = {INPUT_STREAM: generator._stream, SORTING_STREAM: sorting, OBSERVATION_STREAM: noise}
+                return line, opened, reference
             read[0] += 1
             result = line.step(actions[t % len(actions)])
             sorting.random()  # the step's one accuracy draw
@@ -405,16 +439,15 @@ class TestTape:
         self, monkeypatch, variant, input_type, length,
     ):
         config = EnvConfig(variant=variant, input_type=input_type, obs_noise_level=0.3, episode_length=length)
-        line, reference = self.stepped_against_reference(monkeypatch, config, 13, length)
+        line, opened, reference = self.stepped_against_reference(monkeypatch, config, 13, length)
         assert line.state.step_count == length
         # The first input and one per step: no draw beyond what stepping draws.
-        streams = (line._generator._stream, line._sorting_stream, line._obs_stream)
-        assert [s.getstate() for s in streams] == [s.getstate() for s in reference]
+        assert stream_states(opened) == stream_states(reference)
 
     def test_a_long_episode_is_not_drawn_ahead(self, monkeypatch):
         config = EnvConfig(variant=EnvVariant.ADVANCED, input_type=InputType.SEASONAL, obs_noise_level=0.3,
                            episode_length=10**12)
-        line, _ = self.stepped_against_reference(monkeypatch, config, 13, 2 * CHUNK + 3)
+        line, _, _ = self.stepped_against_reference(monkeypatch, config, 13, 2 * CHUNK + 3)
         assert not line.step(Action(1, SortingMode.BASIC)).done
 
 

@@ -133,6 +133,19 @@ class TestSession:
         assert response["code"] == "EPISODE_DONE"
 
     @pytest.mark.parametrize(
+        "variant, action, message",
+        [
+            (EnvVariant.BASIC, {"speed": 5, "mode": "positive"}, "basic variant takes mode none, got positive"),
+            (EnvVariant.ADVANCED, {"speed": 5}, "advanced variant takes mode basic|positive|negative, got none"),
+        ],
+    )
+    def test_a_refused_mode_is_named_as_the_protocol_spells_it(self, variant, action, message):
+        session = Session(EnvConfig(variant=variant))
+        session.handle({"type": "reset", "seed": 1})
+        response, _ = session.handle({"type": "step", "action": action})
+        assert response == {"type": "error", "code": "BAD_ACTION", "message": message}
+
+    @pytest.mark.parametrize(
         "action",
         [
             {"speed": 11},
@@ -314,6 +327,15 @@ class TestWireTransport:
         assert reset["type"] == "state"
         assert step["type"] == "error" and step["code"] == "INTERNAL"
         assert hello["type"] == "spec"
+
+    def test_blank_lines_get_no_reply(self, server):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(b'\n \t\r\n{"type": "hello"}\n{"type": "close"}\n')
+            stream.flush()
+            assert json.loads(stream.readline())["type"] == "spec"
+            assert json.loads(stream.readline()) == {"type": "bye"}
+            assert stream.readline() == b""
 
     def test_close_ends_the_connection(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
