@@ -8,7 +8,6 @@ category as well.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from pathlib import Path
 
 from .config import ConfigError, EnvConfig, check_field
@@ -225,7 +224,7 @@ class QLearningAgent(Agent):
     def train(self, config: EnvConfig, episodes: int, steps_per_episode: int) -> "QLearningAgent":
         """Run epsilon-greedy Q-learning episodes, each seeded from the agent's stream: the
         draws, observations and rewards of ``SortingLineEnv.reset`` and ``step`` (``open_episode``'s
-        sorting stream and tape, each chunk's observed totals binned to states in one pass, and
+        sorting stream and tape entries, each observed total binned to a state as it is read, and
         ``price_step``), without the stages, storage or info that learning does not read.  Step
         ``done`` of the call's ``planned`` steps explores with probability ``epsilon(done, planned)``,
         so each call restarts the schedule at 1.0.  Each state's greedy action is kept; a row is
@@ -241,13 +240,11 @@ class QLearningAgent(Agent):
         category_index, per_bin, discount = self._category_index, len(self._category_index), self.discount
         best = [first_max(row) for row in q]  # each state's greedy action, kept through the updates
         for _ in range(episodes):
-            sorting_stream, chunks = open_episode(config, stream.getrandbits(63), steps + 1)
-            tape = chain.from_iterable(  # each input's occupancy, true category and observed state
-                zip(occs, cats, [bin_index(total) * per_bin + category_index[cat] for total, cat in zip(totals, cats)])
-                for _, occs, totals, cats in chunks
-            )
-            (occ, correct, state), last = next(tape), 0
-            for step, (next_occ, next_correct, next_state) in enumerate(tape, 1):
+            sorting_stream, tape = open_episode(config, stream.getrandbits(63), steps)
+            _, occ, total, correct = next(tape)
+            state, last = bin_index(total) * per_bin + category_index[correct], 0
+            for step, (_, next_occ, total, next_correct) in enumerate(tape, 1):
+                next_state = bin_index(total) * per_bin + category_index[next_correct]
                 row, greedy = q[state], best[state]
                 index = stream.randrange(len(actions)) if stream.random() < epsilon(done, planned) else greedy
                 action = actions[index]

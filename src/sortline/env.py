@@ -74,26 +74,28 @@ class StepResult(NamedTuple):
 TAPE_CHUNK = 256
 
 
-def draw_tape(config: EnvConfig, generator: InputGenerator, obs_stream: random.Random, count: int) -> tuple[list, ...]:
-    """The next ``count`` inputs of an episode as columns: the mixes, one ``generator.draw()`` each; their
-    occupancies; their totals as observed, each perturbed by one multiplicative uniform draw of ``obs_stream``
-    (even at zero noise level); their true ratio categories, ``None`` in the basic variant."""
+def draw_tape(config: EnvConfig, generator: InputGenerator, obs_stream: random.Random, count: int) -> Iterator[tuple]:
+    """The next ``count`` inputs of an episode as (mix, occupancy, observed total, category) entries: the mixes, one
+    ``generator.draw()`` each; their occupancies; their totals as observed, each perturbed by one multiplicative
+    uniform draw of ``obs_stream`` (even at zero noise level); their true ratio categories, ``None`` in basic."""
     draw, uniform01, level = generator.draw, obs_stream.random, config.obs_noise_level
     mixes = [draw() for _ in range(count)]
     occs = [occupancy(mix) for mix in mixes]
     # uniform(-level, level) written out; level + level is exactly level - (-level).
     totals = [clamp01(occ * (1.0 + (-level + (level + level) * uniform01()))) for occ in occs]
     advanced = config.variant is EnvVariant.ADVANCED
-    return mixes, occs, totals, [classify_ratio(mix) for mix in mixes] if advanced else [None] * count
+    return zip(mixes, occs, totals, [classify_ratio(mix) for mix in mixes] if advanced else [None] * count)
 
 
-def open_episode(config: EnvConfig, root: int, entries: int) -> tuple[random.Random, Iterator[tuple[list, ...]]]:
-    """Root seed ``root``'s sorting stream, and ``draw_tape``'s columns for the episode's first ``entries``
-    inputs (from its input and observation streams), ``TAPE_CHUNK`` at most at a time, each drawn as read."""
+def open_episode(config: EnvConfig, root: int, steps: int) -> tuple[random.Random, Iterator[tuple]]:
+    """Root seed ``root``'s sorting stream, and ``draw_tape``'s entries for the ``steps + 1`` inputs a
+    ``steps``-step episode reads, the first input and then one per step (from its input and observation
+    streams), drawn ``TAPE_CHUNK`` at most at a time as they are read."""
     generator = make_generator(config.input_type, make_stream(root, INPUT_STREAM))
     sorting_stream, obs_stream = make_stream(root, SORTING_STREAM), make_stream(root, OBSERVATION_STREAM)
-    starts = range(0, entries, TAPE_CHUNK)
-    return sorting_stream, (draw_tape(config, generator, obs_stream, min(TAPE_CHUNK, entries - s)) for s in starts)
+    starts = range(0, steps + 1, TAPE_CHUNK)
+    chunks = (draw_tape(config, generator, obs_stream, min(TAPE_CHUNK, steps + 1 - s)) for s in starts)
+    return sorting_stream, chain.from_iterable(chunks)
 
 
 def price_step(
@@ -131,8 +133,7 @@ class SortingLineEnv:
     def reset(self, seed: int | None = None) -> Observation:
         """Start a fresh episode; ``seed`` overrides the configured root seed."""
         root = self.config.seed if seed is None else check_field("seed", seed)
-        self._sorting_stream, chunks = open_episode(self.config, root, self.config.episode_length + 1)
-        self._tape = chain.from_iterable(zip(*columns) for columns in chunks)  # the first input, then one per step
+        self._sorting_stream, self._tape = open_episode(self.config, root, self.config.episode_length)
         mix, self._input_occupancy, total, category = next(self._tape)
         self._obs = tuple.__new__(Observation, (total, category))
         self._state = EnvState(

@@ -26,11 +26,11 @@ Responses:
 Error codes: BAD_REQUEST (malformed, non-UTF-8 or too deeply nested line, a
 line longer than 64 KiB, or unknown type), BAD_CONFIG (``config`` not an
 object or null, unknown key, a value that is malformed, non-finite or out of
-range, an integer field such as ``seed`` given a non-integral number, or
-``r_acc + r_speed`` not finite), BAD_ACTION (a bad speed or ``mode``, even
-after the episode's end), NO_EPISODE (step before any reset), EPISODE_DONE,
-INTERNAL (a server fault or a non-finite response; the traceback goes to
-stderr).  Errors leave the session usable.
+range, an integer field such as ``seed`` given a non-integral number, or an
+``action_penalty``, ``r_acc`` or ``r_speed`` above 1e6), BAD_ACTION (a bad
+speed or ``mode``, even after the episode's end), NO_EPISODE (step before any
+reset), EPISODE_DONE, INTERNAL (a server fault or a non-finite response; the
+traceback goes to stderr).  Errors leave the session usable.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ class Session:
 
     def __init__(self, base_config: EnvConfig):
         self.base_config = base_config
-        self.config = base_config
         self.env: SortingLineEnv | None = None
 
     def handle(self, request: Any) -> tuple[dict[str, Any], bool]:
@@ -103,7 +102,7 @@ class Session:
             return _error("BAD_REQUEST", "request must be an object with a 'type' field"), False
         kind = request["type"]
         if kind == "hello":
-            return _spec_payload(self.config), False
+            return _spec_payload(self.env.config if self.env else self.base_config), False
         if kind == "close":
             return {"type": "bye"}, True
         if kind == "reset":
@@ -124,7 +123,6 @@ class Session:
             obs = env.reset()
         except ConfigError as exc:
             return _error("BAD_CONFIG", str(exc))
-        self.config = config
         self.env = env
         return _state_payload(obs, None, False, {})
 

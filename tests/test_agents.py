@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sortline
+from conftest import record_streams
 from sortline import agents, env, sorting
 from sortline.agents import (
     BINS,
@@ -29,7 +30,7 @@ from sortline.agents import (
 from sortline.config import ConfigError, EnvConfig
 from sortline.env import StepResult
 from sortline.bench import run_episode, standard_setups
-from sortline.rng import INPUT_STREAM, OBSERVATION_STREAM, SORTING_STREAM, make_stream
+from sortline.rng import INPUT_STREAM, OBSERVATION_STREAM, SORTING_STREAM
 from sortline.sorting import BELOW_THRESHOLD_REWARD
 from sortline.types import ACTIONS, MODES, Action, EnvVariant, Observation, SortingMode
 
@@ -90,7 +91,7 @@ def train_scripted(monkeypatch, agent, totals, rewards, explore=None):
     def scripted_draw_tape(config, generator, obs_stream, count):
         chunk = list(itertools.islice(observed, count))  # each total also stands as its input's occupancy
         assert len(chunk) == count
-        return [None] * count, chunk, chunk, [None] * count
+        return zip([None] * count, chunk, chunk, [None] * count)
 
     def scripted_price_step(action, *rest):
         priced.append((ACTIONS[agent.variant].index(action), [row[:] for row in agent._q]))
@@ -633,18 +634,6 @@ class TestQLearningAgent:
         agent = QLearningAgent(EnvVariant.BASIC, seed=17)
         agent.train(EnvConfig(), episodes=20, steps_per_episode=50)
         assert agent.visits[3:17].min() > 0
-
-
-def record_streams(monkeypatch):
-    """Patch ``env.make_stream`` to append each stream it makes, with its label, to the returned list."""
-    opened = []
-
-    def recording_make_stream(root, label):
-        opened.append((label, make_stream(root, label)))
-        return opened[-1][1]
-
-    monkeypatch.setattr(env, "make_stream", recording_make_stream)
-    return opened
 
 
 def episode_states(opened):

@@ -227,6 +227,21 @@ class TestConfigPlumbing:
         assert run_cli("simulate", "--config", tmp_path / "nope.cfg", "--out", out) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "command, flags, line",
+        [
+            ("simulate", [], "action_penalty = 1e308\ninput_type = seasonal\n"),
+            ("benchmark", ["--agents", "rba", "--seeds", "2", "--steps", "5"], "r_acc = 1e200\nr_speed = 1e200\n"),
+        ],
+        ids=["simulate", "benchmark"],
+    )
+    def test_reward_scales_that_overflow_are_one_error_line(self, tmp_path, capsys, command, flags, line):
+        config = tmp_path / "huge.cfg"
+        config.write_text(line)
+        assert run_cli(command, "--config", config, *flags, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line.split()[0]} must be at most 1e+06") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag, value", [("--seed", "abc"), ("--steps", "2.5"), ("--noise", "loud")])
     def test_bad_flag_values_are_one_error_line(self, tmp_path, capsys, flag, value):
         # Flag values are parsed like config-file values, not by argparse.

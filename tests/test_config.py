@@ -63,6 +63,9 @@ def test_default_occupancy_limits_descend_from_one():
         {"correct_mode_noise_range": (math.inf, math.inf)},
         {"incorrect_mode_noise_range": (math.nan, 0.2)},
         {"r_acc": 1.7e308, "r_speed": 1.7e308},
+        {"action_penalty": 1e308},  # reward scales above config.MAX_REWARD_SCALE: returns or their squares overflow
+        {"r_acc": 1e200, "r_speed": 1e200},
+        {"r_speed": 1.000001e6},
         {"episode_length": 2.5},
         {"episode_length": math.inf},
         {"episode_length": True},

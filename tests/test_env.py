@@ -1,12 +1,13 @@
 """Environment semantics: pipeline order, rewards, conservation, determinism."""
 
 import itertools
+import math
 import random
 from dataclasses import astuple, replace
 
 import pytest
 
-from sortline import env as env_module
+from conftest import record_streams
 from sortline.bench import standard_setups
 from sortline.config import ConfigError, EnvConfig
 from sortline.env import EpisodeDoneError, SortingLineEnv, StepResult, open_episode, price_step
@@ -364,40 +365,35 @@ class TestTape:
     chunk at a time; across chunk boundaries they must see exactly what one input
     draw and one stdlib observation draw per step give, and never draw further ahead."""
 
-    @staticmethod
-    def record_streams(monkeypatch):
-        """Patch ``env.make_stream`` to keep the last stream it made for each label in the returned dict."""
-        opened = {}
-
-        def recording_make_stream(root, label):
-            opened[label] = make_stream(root, label)
-            return opened[label]
-
-        monkeypatch.setattr(env_module, "make_stream", recording_make_stream)
-        return opened
-
-    @pytest.mark.parametrize("entries", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
-    def test_opening_an_episode_draws_nothing_until_a_chunk_is_read(self, monkeypatch, entries):
+    @pytest.mark.parametrize("steps", [0, CHUNK - 1, CHUNK, 2 * CHUNK + 2])
+    def test_opening_an_episode_draws_nothing_until_a_chunk_is_read(self, monkeypatch, steps):
         config = EnvConfig(variant=EnvVariant.ADVANCED, input_type=InputType.SEASONAL, obs_noise_level=0.3)
-        opened = self.record_streams(monkeypatch)
-        sorting_stream, chunks = open_episode(config, 13, entries)
-        assert sorting_stream is opened[SORTING_STREAM]
-        fresh = {label: make_stream(13, label) for label in (INPUT_STREAM, SORTING_STREAM, OBSERVATION_STREAM)}
-        assert stream_states(opened) == stream_states(fresh)
-        lengths = []
-        for columns in chunks:  # mixes, occupancies, observed totals, categories
-            assert len(columns) == 4 and len({len(column) for column in columns}) == 1
-            lengths.append(len(columns[0]))
-        assert lengths[:-1] == [CHUNK] * (len(lengths) - 1) and 0 < lengths[-1] <= CHUNK
-        assert sum(lengths) == entries
+        opened = record_streams(monkeypatch)
+        generator_type, drawn = type(make_generator(config.input_type, random.Random())), [0]
+        draw = generator_type.draw
 
-    @classmethod
-    def stepped_against_reference(cls, monkeypatch, config, seed, steps):
+        def counting_draw(self):
+            drawn[0] += 1
+            return draw(self)
+
+        monkeypatch.setattr(generator_type, "draw", counting_draw)
+        sorting_stream, entries = open_episode(config, 13, steps)
+        assert sorting_stream is dict(opened)[SORTING_STREAM]
+        fresh = {label: make_stream(13, label) for label in (INPUT_STREAM, SORTING_STREAM, OBSERVATION_STREAM)}
+        assert stream_states(dict(opened)) == stream_states(fresh) and drawn[0] == 0
+        read = 0
+        for read, entry in enumerate(entries, 1):  # mix, occupancy, observed total, category
+            assert type(entry) is tuple and len(entry) == 4
+            assert drawn[0] == min(CHUNK * math.ceil(read / CHUNK), steps + 1), read
+        assert read == steps + 1
+
+    @staticmethod
+    def stepped_against_reference(monkeypatch, config, seed, steps):
         """Step an env ``steps`` times, comparing each input, observation and belt
         occupancy with draws made step by step; an input drawn ``CHUNK`` or more
         entries ahead of the one read fails at once.  Returns the env, its input,
         sorting and observation streams, and the reference streams, each by label."""
-        opened = cls.record_streams(monkeypatch)
+        opened = record_streams(monkeypatch)
         level, advanced = config.obs_noise_level, config.variant is EnvVariant.ADVANCED
         generator = make_generator(config.input_type, make_stream(seed, INPUT_STREAM))
         noise, sorting = make_stream(seed, OBSERVATION_STREAM), make_stream(seed, SORTING_STREAM)
@@ -425,7 +421,7 @@ class TestTape:
             assert (observation, line.state.input) == (want, mix), t
             if t == steps:
                 reference = {INPUT_STREAM: generator._stream, SORTING_STREAM: sorting, OBSERVATION_STREAM: noise}
-                return line, opened, reference
+                return line, dict(opened), reference
             read[0] += 1
             result = line.step(actions[t % len(actions)])
             sorting.random()  # the step's one accuracy draw

@@ -189,6 +189,8 @@ class TestSession:
             {"type": "reset", "config": {"episode_length": float("inf")}},
             {"type": "reset", "config": {"r_acc": float("nan")}},
             {"type": "reset", "config": {"r_acc": 1.7e308, "r_speed": 1.7e308}},
+            {"type": "reset", "config": {"action_penalty": 1e308}},
+            {"type": "reset", "config": {"r_acc": 1e200, "r_speed": 1e200}},
             {"type": "reset", "config": {"episode_length": 1.5}},
             {"type": "reset", "config": {"seed": True}},
             {"type": "reset", "config": {"action_penalty": False}},
