@@ -28,6 +28,9 @@ PATTERNS = tuple((total, share) for total in LEVEL_RANGES for share in REGIME_A_
 
 RANDOM_TOTAL_RANGE = (5.0, 95.0)
 
+# MaterialMix's checked __new__, called directly: a class call runs it from type.__call__, which CPython cannot inline.
+_new_mix = MaterialMix.__new__
+
 
 class RandomInputGenerator:
     """Uniform total in [5, 95] percent with a uniform A/B split."""
@@ -38,9 +41,10 @@ class RandomInputGenerator:
     def draw(self) -> MaterialMix:
         # CPython's own uniform(lo, hi), written out: the same draw and float.
         lo, hi = RANDOM_TOTAL_RANGE
-        total = lo + (hi - lo) * self._stream.random()
-        a = total * self._stream.random()  # uniform(0.0, 1.0) is exactly random()
-        return MaterialMix(a, total - a)
+        uniform01 = self._stream.random
+        total = lo + (hi - lo) * uniform01()
+        a = total * uniform01()  # uniform(0.0, 1.0) is exactly random()
+        return _new_mix(MaterialMix, a, total - a)
 
 
 class SeasonalInputGenerator:
@@ -64,7 +68,7 @@ class SeasonalInputGenerator:
         # uniform(lo, hi) written out, as in RandomInputGenerator.draw.
         total = lo + (hi - lo) * stream.random()
         a = total * (share_lo + (share_hi - share_lo) * stream.random())
-        return MaterialMix(a, total - a)
+        return _new_mix(MaterialMix, a, total - a)
 
 
 InputGenerator = RandomInputGenerator | SeasonalInputGenerator

@@ -49,6 +49,8 @@ from .types import MODES, SPEED_INDICES, Action, Observation, SortingMode, actio
 PROTOCOL_VERSION = 1
 # Longest request line read, newline included; a longer one gets BAD_REQUEST.
 MAX_LINE_BYTES = 64 * 1024
+# json.dumps with these keywords builds an encoder per call; threads share this one: encode keeps no state.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 def _spec_payload(config: EnvConfig) -> dict[str, Any]:
@@ -131,17 +133,17 @@ class Session:
             return _error("NO_EPISODE", "reset before stepping")
         try:
             action = _action_from_payload(request.get("action"))
-            result = self.env.step(action)
+            obs, reward, done, info = self.env.step(action)
         except EpisodeDoneError as exc:
             return _error("EPISODE_DONE", str(exc))
         except ValueError as exc:
             return _error("BAD_ACTION", str(exc))
-        return _state_payload(*result)
+        return _state_payload(obs, reward, done, info)
 
 
 def _encode(response: dict[str, Any]) -> bytes:
     """One response line of strict JSON: a NaN or infinity raises ValueError."""
-    return (json.dumps(response, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    return (_ENCODER.encode(response) + "\n").encode("utf-8")
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):

@@ -43,8 +43,8 @@ def deterministic_accuracy(speed_index: int, occ: float, config: EnvConfig) -> f
 def base_accuracy(speed_index: int, occ: float, config: EnvConfig, stream: random.Random) -> float:
     """Accuracy in the basic variant: the deterministic surface minus one
     uniform noise draw from ``base_noise_range``, clamped to [0, 1]."""
-    noise = stream.uniform(*config.base_noise_range)
-    return clamp01(deterministic_accuracy(speed_index, occ, config) - noise)
+    lo, hi = config.base_noise_range
+    return clamp01(deterministic_accuracy(speed_index, occ, config) - stream.uniform(lo, hi))
 
 
 def classify_ratio(mix: MaterialMix) -> SortingMode:
@@ -54,9 +54,10 @@ def classify_ratio(mix: MaterialMix) -> SortingMode:
     Boundary ratios count as basic; an empty mix is basic; a one-sided mix is
     positive or negative accordingly.
     """
-    if mix.a > POSITIVE_RATIO * mix.b:
+    a, b = mix
+    if a > POSITIVE_RATIO * b:
         return SortingMode.POSITIVE
-    if mix.b > POSITIVE_RATIO * mix.a:
+    if b > POSITIVE_RATIO * a:
         return SortingMode.NEGATIVE
     return SortingMode.BASIC
 
@@ -77,11 +78,11 @@ def apply_mode(
     """
     if chosen is correct:
         adjusted = min(alpha + CORRECT_MODE_BONUS, 1.0)
-        noise = stream.uniform(*config.correct_mode_noise_range)
+        lo, hi = config.correct_mode_noise_range
     else:
         adjusted = max(alpha - INCORRECT_MODE_MALUS, 0.0)
-        noise = stream.uniform(*config.incorrect_mode_noise_range)
-    return clamp01(adjusted - noise)
+        lo, hi = config.incorrect_mode_noise_range
+    return clamp01(adjusted - stream.uniform(lo, hi))
 
 
 def sort_transfer(

@@ -3,6 +3,8 @@
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from sortline.inputs import (
     LEVEL_RANGES,
     PATTERNS,
@@ -14,7 +16,7 @@ from sortline.inputs import (
     make_generator,
 )
 from sortline.rng import INPUT_STREAM, make_stream
-from sortline.types import InputType
+from sortline.types import InputType, MaterialMix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -133,3 +135,20 @@ class TestDrawsMatchTheStdlib:
             gen = SeasonalInputGenerator(make_stream(seed, INPUT_STREAM))
             expected = list(self.reference_seasonal(make_stream(seed, INPUT_STREAM), 40))
             assert [gen.draw() for _ in range(40)] == expected, seed
+
+
+class _OverdrawnStream:
+    """A stream whose ``random()`` returns 2.0, past its range: each generator's mix then holds a negative B."""
+
+    def random(self):
+        return 2.0
+
+    def randrange(self, start, stop=None):
+        return 0 if stop is None else start
+
+
+@pytest.mark.parametrize("generator", [RandomInputGenerator, SeasonalInputGenerator])
+def test_drawn_mixes_pass_the_material_mix_check(generator):
+    assert type(generator(make_stream(4, INPUT_STREAM)).draw()) is MaterialMix
+    with pytest.raises(ValueError, match="negative or NaN material quantity"):
+        generator(_OverdrawnStream()).draw()

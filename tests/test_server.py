@@ -11,7 +11,7 @@ from sortline.agents import RuleBasedAgent
 from sortline.bench import run_episode
 from sortline.config import EnvConfig
 from sortline.env import SortingLineEnv, StepResult
-from sortline.server import MAX_LINE_BYTES, EnvClient, EnvServer, Session
+from sortline.server import MAX_LINE_BYTES, EnvClient, EnvServer, Session, _encode
 from sortline.types import Action, EnvVariant, Observation, SortingMode
 
 
@@ -227,6 +227,18 @@ class TestSession:
         response, close = Session(EnvConfig()).handle({"type": "close"})
         assert response == {"type": "bye"}
         assert close is True
+
+
+def test_encode_gives_the_bytes_of_json_dumps_and_refuses_nan():
+    session = Session(EnvConfig(variant=EnvVariant.ADVANCED))
+    session.handle({"type": "reset", "seed": 5})
+    state, _ = session.handle({"type": "step", "action": {"speed": 6, "mode": "negative"}})
+    error, _ = session.handle({"type": "step", "action": {"speed": 99, "mode": "basic"}})
+    assert state["type"] == "state" and error["code"] == "BAD_ACTION"
+    for response in (state, error):
+        assert _encode(response) == (json.dumps(response, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    with pytest.raises(ValueError):
+        _encode({**state, "reward": math.nan})
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,18 @@ first.  Standard output gets one JSON object, the per-workload block of a
 ``BENCH_*.json`` record: for every metric the runs of each side, their
 median and quartiles (``statistics.quantiles(n=4, method='inclusive')``), the
 pairs the change won and lost in the metric's direction (ties count for
-neither), ``median_change_pct`` and the parent's interquartile range.
+neither), ``median_change_pct``, the parent's interquartile range (IQR) and a
+``verdict``, ``bound`` being the metric's relative bound:
+
+* ``"worse"``: the change's median is worse than the parent's by more than
+  ``bound`` times the parent's median;
+* ``"unresolved"``: the parent's IQR exceeds ``bound`` times its median, and
+  not every change run beats every parent run;
+* ``"gain"``: the change won at least 9/10 of the pairs and its median beats
+  the parent's by more than the parent's IQR;
+* ``"within bound"``: any other case.
+
+A per-layer figure declares no bound, so it is never worse or unresolved.
 Workload names, metric directions and bounds come from CHANGE's
 ``BENCHMARK.json``.  With ``--trace 1`` the metrics are the per-layer figures
 and call counts.
@@ -21,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -54,8 +66,22 @@ def spread(runs: list[float]) -> dict:
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
 
 
+def verdict(parent: dict, change: dict, sign: float, bound: float, wins: int) -> str:
+    """The module docstring's verdict on one metric; ``sign`` is 1 when higher is better."""
+    scale = bound * abs(parent["median"])
+    gap = sign * (change["median"] - parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    if gap < -scale:
+        return "worse"
+    if iqr > scale and min(sign * c for c in change["runs"]) <= max(sign * p for p in parent["runs"]):
+        return "unresolved"
+    if wins >= 0.9 * len(parent["runs"]) and gap > iqr:
+        return "gain"
+    return "within bound"
+
+
 def summarize(results: dict[str, list[dict]], declared: dict[str, dict]) -> dict:
-    """Per-metric spread of each side, pair wins and the median change."""
+    """Per-metric spread of each side, pair wins, the median change and the verdict."""
     metrics = {}
     names = [name for name in declared if all(name in r["metrics"] for side in SIDES for r in results[side])]
     for name in names:
@@ -63,18 +89,20 @@ def summarize(results: dict[str, list[dict]], declared: dict[str, dict]) -> dict
         sign = 1.0 if declared[name]["better"] == "higher" else -1.0
         gaps = [sign * (c - p) for p, c in zip(runs["parent"], runs["change"])]
         parent, change = spread(runs["parent"]), spread(runs["change"])
+        wins = sum(gap > 0 for gap in gaps)
         metrics[name] = {
             "unit": declared[name]["unit"],
             "better": declared[name]["better"],
             **({"bound": declared[name]["bound"]} if "bound" in declared[name] else {}),
             "parent": parent,
             "change": change,
-            "change_wins": sum(gap > 0 for gap in gaps),
+            "change_wins": wins,
             "change_losses": sum(gap < 0 for gap in gaps),
             "median_change_pct": (
                 100.0 * (change["median"] / parent["median"] - 1.0) if parent["median"] else None
             ),
             "parent_iqr": parent["q3"] - parent["q1"],
+            "verdict": verdict(parent, change, sign, declared[name].get("bound", math.inf), wins),
         }
     return metrics
 
