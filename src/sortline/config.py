@@ -138,7 +138,10 @@ def _parse(default: Any, text: str) -> Any:
         return type(default)(text.lower())
     if isinstance(default, tuple):
         return [float(part) for part in text.replace(",", " ").split()]
-    return type(default)(text)
+    try:
+        return type(default)(text)
+    except ValueError:  # an int field's "50.0" or "1e3": a float, which check_field takes if integral
+        return float(text)
 
 
 def config_from_mapping(mapping: Mapping[str, Any], base: EnvConfig | None = None) -> EnvConfig:

@@ -76,23 +76,25 @@ TAPE_CHUNK = 256
 
 def draw_tape(config: EnvConfig, generator: InputGenerator, obs_stream: random.Random, count: int) -> Iterator[tuple]:
     """The next ``count`` inputs of an episode as (mix, occupancy, observed total, category) entries: the mixes, one
-    ``generator.draw()`` each; their occupancies; their totals as observed, each perturbed by one multiplicative
-    uniform draw of ``obs_stream`` (even at zero noise level); their true ratio categories, ``None`` in basic."""
-    draw, uniform01, level = generator.draw, obs_stream.random, config.obs_noise_level
+    ``generator.draw()`` each; their occupancies; their observed totals, one multiplicative ``obs_stream`` draw each
+    at a positive noise level, else the occupancies (``obs_stream`` unread); their ratio categories, None in basic."""
+    draw, level = generator.draw, config.obs_noise_level
     mixes = [draw() for _ in range(count)]
-    occs = [occupancy(mix) for mix in mixes]
-    # uniform(-level, level) written out; level + level is exactly level - (-level).
-    totals = [clamp01(occ * (1.0 + (-level + (level + level) * uniform01()))) for occ in occs]
+    occs = totals = [occupancy(mix) for mix in mixes]  # level 0: occ * (1.0 + (-0.0 + 0.0 * u)) is occ, in [0, 1]
+    if level > 0.0:
+        uniform01 = obs_stream.random  # uniform(-level, level) written out: level + level is exactly level - (-level)
+        totals = [clamp01(occ * (1.0 + (-level + (level + level) * uniform01()))) for occ in occs]
     advanced = config.variant is EnvVariant.ADVANCED
     return zip(mixes, occs, totals, [classify_ratio(mix) for mix in mixes] if advanced else [None] * count)
 
 
 def open_episode(config: EnvConfig, root: int, steps: int) -> tuple[random.Random, Iterator[tuple]]:
     """Root seed ``root``'s sorting stream, and ``draw_tape``'s entries for the ``steps + 1`` inputs a
-    ``steps``-step episode reads, the first input and then one per step (from its input and observation
-    streams), drawn ``TAPE_CHUNK`` at most at a time as they are read."""
+    ``steps``-step episode reads, the first input and then one per step (from its input stream, and its
+    observation stream, made only at a positive noise level), drawn ``TAPE_CHUNK`` at most at a time as read."""
     generator = make_generator(config.input_type, make_stream(root, INPUT_STREAM))
-    sorting_stream, obs_stream = make_stream(root, SORTING_STREAM), make_stream(root, OBSERVATION_STREAM)
+    sorting_stream = make_stream(root, SORTING_STREAM)
+    obs_stream = make_stream(root, OBSERVATION_STREAM) if config.obs_noise_level > 0.0 else None
     starts = range(0, steps + 1, TAPE_CHUNK)
     chunks = (draw_tape(config, generator, obs_stream, min(TAPE_CHUNK, steps + 1 - s)) for s in starts)
     return sorting_stream, chain.from_iterable(chunks)

@@ -637,10 +637,11 @@ class TestQLearningAgent:
 
 
 def episode_states(opened):
-    """The input, sorting and observation stream states of each episode in a ``record_streams`` list."""
-    episodes = [dict(opened[i:i + 3]) for i in range(0, len(opened), 3)]
-    return [tuple(streams[label].getstate() for label in (INPUT_STREAM, SORTING_STREAM, OBSERVATION_STREAM))
-            for streams in episodes]
+    """The (label, state) of each stream each episode in a ``record_streams`` list opened, in opening
+    order; an episode opens its input stream first, then its sorting and any observation stream."""
+    starts = [i for i, (label, _) in enumerate(opened) if label == INPUT_STREAM] + [len(opened)]
+    return [tuple((label, stream.getstate()) for label, stream in opened[start:end])
+            for start, end in zip(starts, starts[1:])]
 
 
 def reference_train(agent, config, episodes, steps):
@@ -687,9 +688,11 @@ class TestTrainingDriver:
         assert driven._visits == stepped._visits
         assert sum(driven._visits) == episodes * steps
         assert driven._stream.getstate() == stepped._stream.getstate()
-        # The same number of draws from each env stream, episode by episode.
+        # The same streams opened, and the same number of draws from each, episode by episode.
         assert len(driver_states) == episodes
         assert driver_states == episode_states(opened)
+        labels = [INPUT_STREAM, SORTING_STREAM] + [OBSERVATION_STREAM] * (config.obs_noise_level > 0.0)
+        assert all([label for label, _ in states] == labels for states in driver_states)
 
 
 class TestQTableFiles:

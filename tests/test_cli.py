@@ -222,6 +222,13 @@ class TestConfigPlumbing:
         run_cli("simulate", "--config", config, "--steps", 12, "--out", out)
         assert len(out.read_text().splitlines()) == 13
 
+    def test_integral_float_flags_are_read_as_ints(self, tmp_path):
+        # Flag values are parsed like config-file values: 50.0 steps and seed 1e3 are 50 and 1000.
+        floats, ints = tmp_path / "floats.csv", tmp_path / "ints.csv"
+        assert run_cli("simulate", "--steps", "50.0", "--seed", "1e3", "--out", floats) == 0
+        assert run_cli("simulate", "--steps", "50", "--seed", "1000", "--out", ints) == 0
+        assert floats.read_bytes() == ints.read_bytes() and len(ints.read_text().splitlines()) == 51
+
     def test_missing_config_file(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         assert run_cli("simulate", "--config", tmp_path / "nope.cfg", "--out", out) == 1

@@ -196,6 +196,9 @@ class TestFromMapping:
             {"base_noise_range": "0.1"},
             {"episode_length": 1.5},
             {"episode_length": "1.5"},
+            {"episode_length": "nan"},
+            {"seed": "1e400"},
+            {"seed": "inf"},
             {"seed": True},
             {"r_acc": True},
             {"base_noise_range": [False, 0.2]},
@@ -207,6 +210,15 @@ class TestFromMapping:
     def test_result_is_validated(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"threshold": 2.0})
+
+    def test_integral_numbers_in_text_are_ints(self):
+        # Read as the same numbers decoded from JSON are: an integral float becomes an int.
+        for text, number in (("50.0", 50.0), ("1e3", 1e3), ("7", 7), ("-0.0", -0.0)):
+            from_text = config_from_mapping({"seed": text})
+            assert from_text == config_from_mapping({"seed": number}) and type(from_text.seed) is int
+        assert config_from_mapping({"episode_length": "50.0"}).episode_length == 50
+        # An int text is read as an int, exactly, however many digits it has.
+        assert config_from_mapping({"seed": "123456789012345678901"}).seed == 123456789012345678901
 
 
 def test_construction_validates():

@@ -156,8 +156,9 @@ class TestObservationNoise:
 
     @pytest.mark.parametrize("level", [0.0, 0.15, 0.3])
     def test_noise_is_the_stdlib_uniform_draw(self, level):
-        # observe() writes uniform(-level, level) out; each fresh input must
-        # see exactly the stdlib's draw on the observation stream.
+        # draw_tape writes uniform(-level, level) out; each fresh input must see
+        # exactly what the stdlib's draw on the observation stream gives, which
+        # at level 0, where the env makes no draw, is the occupancy itself.
         for seed in range(20):
             env = SortingLineEnv(EnvConfig(obs_noise_level=level, episode_length=40))
             reference = make_stream(seed, OBSERVATION_STREAM)
@@ -363,11 +364,13 @@ def stream_states(streams):
 class TestTape:
     """reset() and step() read each input and its observation from a tape drawn a
     chunk at a time; across chunk boundaries they must see exactly what one input
-    draw and one stdlib observation draw per step give, and never draw further ahead."""
+    draw and, at a positive noise level, one stdlib observation draw per step give,
+    and never draw further ahead."""
 
+    @pytest.mark.parametrize("level", [0.0, 0.3])
     @pytest.mark.parametrize("steps", [0, CHUNK - 1, CHUNK, 2 * CHUNK + 2])
-    def test_opening_an_episode_draws_nothing_until_a_chunk_is_read(self, monkeypatch, steps):
-        config = EnvConfig(variant=EnvVariant.ADVANCED, input_type=InputType.SEASONAL, obs_noise_level=0.3)
+    def test_opening_an_episode_draws_nothing_until_a_chunk_is_read(self, monkeypatch, steps, level):
+        config = EnvConfig(variant=EnvVariant.ADVANCED, input_type=InputType.SEASONAL, obs_noise_level=level)
         opened = record_streams(monkeypatch)
         generator_type, drawn = type(make_generator(config.input_type, random.Random())), [0]
         draw = generator_type.draw
@@ -379,20 +382,25 @@ class TestTape:
         monkeypatch.setattr(generator_type, "draw", counting_draw)
         sorting_stream, entries = open_episode(config, 13, steps)
         assert sorting_stream is dict(opened)[SORTING_STREAM]
-        fresh = {label: make_stream(13, label) for label in (INPUT_STREAM, SORTING_STREAM, OBSERVATION_STREAM)}
-        assert stream_states(dict(opened)) == stream_states(fresh) and drawn[0] == 0
+        # A clean sensor (level 0) observes each total exactly: no observation stream is made.
+        labels = [INPUT_STREAM, SORTING_STREAM] + [OBSERVATION_STREAM] * (level > 0.0)
+        assert [label for label, _ in opened] == labels and drawn[0] == 0
+        assert stream_states(dict(opened)) == stream_states({label: make_stream(13, label) for label in labels})
         read = 0
         for read, entry in enumerate(entries, 1):  # mix, occupancy, observed total, category
             assert type(entry) is tuple and len(entry) == 4
             assert drawn[0] == min(CHUNK * math.ceil(read / CHUNK), steps + 1), read
-        assert read == steps + 1
+            if level == 0.0:
+                assert entry[2] == entry[1] == occupancy(entry[0]), read
+        assert read == steps + 1 and len(opened) == len(labels)
 
     @staticmethod
     def stepped_against_reference(monkeypatch, config, seed, steps):
         """Step an env ``steps`` times, comparing each input, observation and belt
         occupancy with draws made step by step; an input drawn ``CHUNK`` or more
-        entries ahead of the one read fails at once.  Returns the env, its input,
-        sorting and observation streams, and the reference streams, each by label."""
+        entries ahead of the one read fails at once.  Returns the env, the streams
+        it opened (input, sorting, and observation at a positive noise level) and
+        the reference streams, each by label."""
         opened = record_streams(monkeypatch)
         level, advanced = config.obs_noise_level, config.variant is EnvVariant.ADVANCED
         generator = make_generator(config.input_type, make_stream(seed, INPUT_STREAM))
@@ -420,7 +428,9 @@ class TestTape:
             mix, want = expected()
             assert (observation, line.state.input) == (want, mix), t
             if t == steps:
-                reference = {INPUT_STREAM: generator._stream, SORTING_STREAM: sorting, OBSERVATION_STREAM: noise}
+                reference = {INPUT_STREAM: generator._stream, SORTING_STREAM: sorting}
+                if level > 0.0:
+                    reference[OBSERVATION_STREAM] = noise
                 return line, dict(opened), reference
             read[0] += 1
             result = line.step(actions[t % len(actions)])
@@ -430,11 +440,12 @@ class TestTape:
 
     @pytest.mark.parametrize("variant", list(EnvVariant))
     @pytest.mark.parametrize("input_type", list(InputType))
+    @pytest.mark.parametrize("level", [0.0, 0.3])
     @pytest.mark.parametrize("length", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
     def test_episodes_across_chunk_boundaries_match_drawing_step_by_step(
-        self, monkeypatch, variant, input_type, length,
+        self, monkeypatch, variant, input_type, level, length,
     ):
-        config = EnvConfig(variant=variant, input_type=input_type, obs_noise_level=0.3, episode_length=length)
+        config = EnvConfig(variant=variant, input_type=input_type, obs_noise_level=level, episode_length=length)
         line, opened, reference = self.stepped_against_reference(monkeypatch, config, 13, length)
         assert line.state.step_count == length
         # The first input and one per step: no draw beyond what stepping draws.

@@ -5,20 +5,36 @@ import types
 
 import pytest
 
-from sortline import env, inputs, server, sorting
-from sortline.agents import QLearningAgent
+from sortline import agents, bench, env, inputs, server, sorting
+from sortline.agents import QLearningAgent, RuleBasedAgent
+from sortline.types import MaterialMix, validate_action
 
 HOT_PATH = [
     sorting.base_accuracy,
     sorting.apply_mode,
+    sorting.deterministic_accuracy,
+    sorting.step_reward,
+    sorting.clamp01,
+    sorting.sort_transfer,
+    sorting.purity,
     sorting.classify_ratio,
     sorting.occupancy,
+    validate_action,
+    MaterialMix.__new__,
+    env.open_episode,
     env.price_step,
     env.draw_tape,
     env.SortingLineEnv.step,
     inputs.RandomInputGenerator.draw,
     inputs.SeasonalInputGenerator.draw,
+    agents.bin_index,
+    agents.epsilon,
+    agents.first_max,
+    RuleBasedAgent.act,
+    QLearningAgent.act,
+    QLearningAgent.state_index,
     QLearningAgent.train,
+    bench.run_episode,
     server.Session._step,
 ]
 
