@@ -5,7 +5,7 @@ generators, baseline agents, a benchmark harness with trace export, and a
 line-protocol TCP server for driving environments from other processes.
 """
 
-from .agents import QLearningAgent, RandomAgent, RuleBasedAgent, best_action, bin_index
+from .agents import QLearningAgent, RandomAgent, RuleBasedAgent, bin_index
 from .bench import (
     BenchmarkReport,
     EpisodeSummary,
@@ -56,7 +56,6 @@ __all__ = [
     "SortingMode",
     "StepResult",
     "StorageTally",
-    "best_action",
     "bin_index",
     "default_agent_factories",
     "export_trace",

@@ -68,11 +68,6 @@ class _NoiseMean:
         return (lo + hi) / 2.0
 
 
-def _check_category(variant: EnvVariant, category: SortingMode | None) -> None:
-    if category not in MODES[variant]:
-        raise ValueError(f"{variant.value} variant observes no category {category!r}")
-
-
 def expected_immediate_reward(
     config: EnvConfig,
     occ: float,
@@ -88,13 +83,14 @@ def expected_immediate_reward(
     if not 0.0 <= occ <= 1.0:
         raise ValueError(f"occupancy outside [0, 1]: {occ}")
     validate_action(action, config.variant)
-    _check_category(config.variant, category)
+    if category not in MODES[config.variant]:
+        raise ValueError(f"{config.variant.value} variant observes no category {category!r}")
     return price_step(action, occ, category, config, _NoiseMean, 0)[1]
 
 
-def _best_actions(config: EnvConfig, occ: float) -> dict[SortingMode | None, Action]:
-    """``best_action`` for every category the variant observes, from one pricing
-    pass: the reward model prices a mode only by whether it fits the category."""
+def _greedy_actions(config: EnvConfig, occ: float) -> dict[SortingMode | None, Action]:
+    """Each observed category's first action of highest ``expected_immediate_reward`` at ``occ``,
+    from one pricing pass: the reward model prices a mode only by whether it fits the category."""
     modes, actions = MODES[config.variant], ACTIONS[config.variant]
     n = len(modes)  # speed s's actions, in mode order, are actions[(s - 1) * n:s * n]
     # Priced for category modes[0], each speed's first action fits and its second, if any, misses.
@@ -106,16 +102,6 @@ def _best_actions(config: EnvConfig, occ: float) -> dict[SortingMode | None, Act
         # Every price is finite (occ lies in [0, 1]): first_max is the scan's first strict maximum.
         picks[category] = actions[first_max(prices)]
     return picks
-
-
-def best_action(config: EnvConfig, occ: float, category: SortingMode | None = None) -> Action:
-    """Action maximizing the expected immediate reward at occupancy ``occ``.
-
-    Ties resolve toward the lower speed index (and earlier mode); a bad
-    occupancy or a category the variant does not observe raises ``ValueError``.
-    """
-    _check_category(config.variant, category)
-    return _best_actions(config, occ)[category]
 
 
 class RuleBasedAgent(Agent):
@@ -133,7 +119,7 @@ class RuleBasedAgent(Agent):
         self.variant = config.variant
         self.table: dict[tuple[int, SortingMode | None], Action] = {}
         for b in range(BINS):
-            for category, action in _best_actions(config, (b + 0.5) / BINS).items():
+            for category, action in _greedy_actions(config, (b + 0.5) / BINS).items():
                 self.table[(b, category)] = action
 
     def act(self, obs: Observation) -> Action:

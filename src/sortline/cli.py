@@ -17,7 +17,7 @@ from .bench import (
     standard_setups,
     training_episodes,
 )
-from .config import ConfigError, EnvConfig, config_from_mapping, load_config_file
+from .config import ConfigError, EnvConfig, _parse, check_field, config_from_mapping, load_config_file
 from .server import serve
 from .sorting import deterministic_accuracy, step_reward
 from .types import SPEED_INDICES, EnvVariant, InputType, speed_fraction
@@ -40,9 +40,14 @@ def _add_config_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **CONFIG_FLAGS[flag])
 
 
+def integral(text: str) -> int:
+    """A count flag's text, read as an int config field's is: ``2.0`` and ``1e3`` pass, ``2.5`` fails."""
+    return check_field("seed", _parse(0, text))
+
+
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--train-steps", type=int, default=TRAIN_STEPS)
-    parser.add_argument("--episode-steps", type=int, default=EPISODE_STEPS)
+    parser.add_argument("--train-steps", type=integral, default=TRAIN_STEPS)
+    parser.add_argument("--episode-steps", type=integral, default=EPISODE_STEPS)
 
 
 def _config_from_args(args: argparse.Namespace) -> EnvConfig:
@@ -102,7 +107,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         raise ConfigError(f"benchmark agents must be distinct, got {args.agents!r}")
     picked = {name: factories[name] for name in wanted}
     seeds = [args.seed_base + i for i in range(args.seeds)]
-    report = run_benchmark(setups, picked, seeds, steps=args.steps)
+    report = run_benchmark(setups, picked, seeds)
     if args.out:
         Path(args.out).write_text(report.to_records_text())
     print(report.format_table())
@@ -155,11 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     benchmark = commands.add_parser(
         "benchmark", help="train and evaluate agents over the four standard setups"
     )
-    # The setups fix input, noise and penalty; the seeds and lengths are flags below.
-    _add_config_flags(benchmark, "--env")
-    benchmark.add_argument("--seeds", type=int, default=10, help="number of evaluation seeds")
-    benchmark.add_argument("--seed-base", type=int, default=1000, help="first evaluation seed")
-    benchmark.add_argument("--steps", type=int, help="evaluation episode length (default: the config's)")
+    # The setups fix input, noise and penalty; the seeds and training lengths are flags below.
+    _add_config_flags(benchmark, "--env", "--steps")
+    benchmark.add_argument("--seeds", type=integral, default=10, help="number of evaluation seeds")
+    benchmark.add_argument("--seed-base", type=integral, default=1000, help="first evaluation seed")
     _add_training_flags(benchmark)
     benchmark.add_argument("--agents", default="rba,qtable", help="comma-separated agent names")
     benchmark.add_argument("--out", metavar="FILE", help="also write one JSON record per line")

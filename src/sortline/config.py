@@ -158,7 +158,7 @@ def config_from_mapping(mapping: Mapping[str, Any], base: EnvConfig | None = Non
             raise ConfigError(f"unknown config key {name!r}")
         if isinstance(raw, str):
             try:
-                raw = _parse(_DEFAULTS[name], raw)
+                raw = check_field(name, _parse(_DEFAULTS[name], raw))
             except ValueError:
                 raise ConfigError(f"bad value for {name!r}: {raw!r}") from None
         updates[name] = raw

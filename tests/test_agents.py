@@ -23,7 +23,6 @@ from sortline.agents import (
     QLearningAgent,
     RandomAgent,
     RuleBasedAgent,
-    best_action,
     bin_index,
     expected_immediate_reward,
 )
@@ -147,15 +146,15 @@ class TestBinning:
 
 class TestExpectedReward:
     def test_light_load_prefers_full_speed(self):
-        assert best_action(ZERO_NOISE, 0.10) == Action(10)
+        assert RuleBasedAgent(ZERO_NOISE).table[(bin_index(0.05), None)] == Action(10)
 
     def test_heavy_load_forces_the_crawl(self):
-        assert best_action(ZERO_NOISE, 1.0) == Action(1)
+        assert RuleBasedAgent(ZERO_NOISE).table[(bin_index(1.0), None)] == Action(1)
 
     def test_advanced_pick_matches_the_announced_category(self):
+        table = RuleBasedAgent(ZERO_NOISE_ADV).table
         for category in SortingMode:
-            choice = best_action(ZERO_NOISE_ADV, 0.35, category)
-            assert choice.mode is category
+            assert table[(bin_index(0.35), category)].mode is category
 
     def test_mean_noise_is_priced_in(self):
         config = EnvConfig()  # base noise mean 0.125
@@ -176,8 +175,7 @@ class TestExpectedReward:
         # With both weights zero every action above the threshold earns 0.0.
         basic = EnvConfig(r_acc=0.0, r_speed=0.0)
         advanced = replace(basic, variant=EnvVariant.ADVANCED)
-        assert best_action(basic, 0.05) == Action(1)
-        assert best_action(advanced, 0.05, SortingMode.BASIC) == Action(1, SortingMode.BASIC)
+        assert RuleBasedAgent(basic).table[(bin_index(0.05), None)] == Action(1)
         # A fit and a miss both earn 0.0, so the first mode wins whatever the category.
         assert set(RuleBasedAgent(advanced).table.values()) == {Action(1, SortingMode.BASIC)}
 
@@ -203,14 +201,14 @@ class TestExpectedReward:
         with pytest.raises(ValueError):
             expected_immediate_reward(config, 0.3, action, category)
 
-    @pytest.mark.parametrize("config, category", [
-        (ZERO_NOISE, SortingMode.POSITIVE),
-        (ZERO_NOISE_ADV, None),
-        (ZERO_NOISE_ADV, "positive"),
+    @pytest.mark.parametrize("config, action, category", [
+        (ZERO_NOISE, Action(5), SortingMode.POSITIVE),
+        (ZERO_NOISE_ADV, Action(5, SortingMode.BASIC), None),
+        (ZERO_NOISE_ADV, Action(5, SortingMode.BASIC), "positive"),
     ])
-    def test_best_action_refuses_a_category_the_variant_does_not_observe(self, config, category):
+    def test_a_category_the_variant_does_not_observe_is_refused(self, config, action, category):
         with pytest.raises(ValueError, match="observes no category"):
-            best_action(config, 0.3, category)
+            expected_immediate_reward(config, 0.3, action, category)
 
     @pytest.mark.parametrize("config, action, category", [
         (ZERO_NOISE, Action(5), None),
@@ -220,14 +218,12 @@ class TestExpectedReward:
     def test_an_occupancy_outside_the_unit_interval_is_refused(self, config, action, category, occ):
         with pytest.raises(ValueError, match=r"occupancy outside \[0, 1\]"):
             expected_immediate_reward(config, occ, action, category)
-        with pytest.raises(ValueError, match=r"occupancy outside \[0, 1\]"):
-            best_action(config, occ, category)
 
     @pytest.mark.parametrize("config, category", [(ZERO_NOISE, None), (ZERO_NOISE_ADV, SortingMode.NEGATIVE)])
     @pytest.mark.parametrize("occ", [0.0, 1.0])
     def test_the_unit_interval_edges_still_price(self, config, category, occ):
-        action = best_action(config, occ, category)
-        assert math.isfinite(expected_immediate_reward(config, occ, action, category))
+        for action in ACTIONS[config.variant]:
+            assert math.isfinite(expected_immediate_reward(config, occ, action, category))
 
     def test_valid_calls_keep_their_values(self):
         advanced = EnvConfig(variant=EnvVariant.ADVANCED)
@@ -277,8 +273,6 @@ class TestRuleTablePricing:
     def test_table_equals_the_per_action_scan(self, config):
         table = RuleBasedAgent(config).table
         assert list(table.items()) == list(scanned_table(config).items())
-        for (b, category), action in table.items():
-            assert best_action(config, (b + 0.5) / BINS, category) == action
 
     def test_a_mode_priced_beyond_fit_or_miss_breaks_the_equality(self, monkeypatch):
         """The table prices each speed once per fit and once per miss; were
@@ -313,7 +307,6 @@ class TestRuleTablePricing:
         assert expected_immediate_reward(config, 0.5, action, category) == price
         table = RuleBasedAgent(config).table
         assert table != before and {a.speed_index for a in table.values()} == {1}
-        assert best_action(config, 0.0, category).speed_index == 1
 
 
 class TestRuleBasedAgent:

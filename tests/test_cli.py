@@ -13,6 +13,7 @@ import pytest
 
 import sortline
 from sortline.bench import EPISODE_STEPS, TRACE_COLUMNS, TRAIN_STEPS
+from sortline import cli
 from sortline.cli import build_parser, main
 from sortline.server import EnvClient
 
@@ -175,6 +176,40 @@ class TestBenchmark:
         assert run_cli("benchmark", "--agents", "rba,random,rba") == 1
         assert capsys.readouterr().err.startswith("error: benchmark agents must be distinct")
 
+    SMALL = ("--agents", "rba,qtable", "--seeds", 2, "--train-steps", 200, "--episode-steps", 50)
+
+    def table(self, capsys, *flags):
+        assert run_cli("benchmark", *self.SMALL, *flags) == 0
+        return capsys.readouterr().out
+
+    def test_the_config_files_length_is_the_evaluation_length(self, tmp_path, capsys):
+        config = tmp_path / "seven.cfg"
+        config.write_text("episode_length = 7\n")
+        assert self.table(capsys, "--config", config) == self.table(capsys, "--steps", 7)
+        assert self.table(capsys, "--config", config, "--steps", 9) == self.table(capsys, "--steps", 9)
+        assert self.table(capsys, "--steps", 9) != self.table(capsys, "--steps", 7)
+
+    def test_a_zero_length_is_refused_before_any_run(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("run_benchmark reached")
+
+        monkeypatch.setattr(cli, "run_benchmark", never)
+        assert run_cli("benchmark", "--agents", "qtable", "--steps", 0) == 1
+        assert capsys.readouterr().err == "error: episode_length must be positive, got 0\n"
+
+    def test_integral_float_counts_are_read_as_ints(self, capsys):
+        floats = self.table(capsys, "--seeds", "2.0", "--seed-base", "1e3", "--steps", "5.0",
+                            "--train-steps", "200.0", "--episode-steps", "50.0")
+        assert floats == self.table(capsys, "--seeds", 2, "--seed-base", 1000, "--steps", 5)
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--seed-base", "--train-steps", "--episode-steps"])
+    @pytest.mark.parametrize("value", ["2.5", "nan", "1e400", "abc"])
+    def test_a_count_that_is_no_whole_number_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("benchmark", flag, value)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: invalid integral value: '{value}'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", ["train", "benchmark"])
 def test_training_flags_default_to_the_bench_budget(command):
@@ -255,6 +290,11 @@ class TestConfigPlumbing:
         assert run_cli("simulate", flag, value, "--out", tmp_path / "trace.csv") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad value for") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, field, value", [("--seed", "seed", "1e400"), ("--steps", "episode_length", "1.5")])
+    def test_a_refused_number_is_quoted_as_given(self, tmp_path, capsys, flag, field, value):
+        assert run_cli("simulate", flag, value, "--out", tmp_path / "trace.csv") == 1
+        assert capsys.readouterr().err == f"error: bad value for '{field}': '{value}'\n"
 
     def test_bad_flags_exit_with_usage_error(self):
         for command, flags in (

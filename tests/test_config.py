@@ -206,6 +206,10 @@ class TestFromMapping:
         ):
             with pytest.raises(ConfigError):
                 config_from_mapping(mapping)
+        # A refused text is quoted as given, not as the number it parsed to.
+        for name, text in (("seed", "1e400"), ("seed", "inf"), ("episode_length", "1.5"), ("threshold", "fast")):
+            with pytest.raises(ConfigError, match=re.escape(f"bad value for {name!r}: {text!r}")):
+                config_from_mapping({name: text})
 
     def test_result_is_validated(self):
         with pytest.raises(ConfigError):
