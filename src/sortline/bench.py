@@ -159,7 +159,12 @@ def load_trace(path: str | Path) -> EpisodeTrace:
         raise ValueError(f"{path} is not an ASCII trace file") from None
     if not lines or lines[0] + "\n" != _HEADER:
         raise ValueError(f"{path} is not a trace file")
-    isfinite = math.isfinite
+    # int() and float() also take what _ROW_FORMAT never writes ("nan", "inf", "0_0.5", " 1",
+    # "5e-1", "+1", a "\r" line end), so the rows, from the header's "\n" on, may hold only its bytes.
+    body = data[len(_HEADER) - 1:]
+    if body.translate(None, _ROW_BYTES):
+        line = next(row for row in body.split(b"\n") if row.translate(None, _ROW_BYTES)).decode()
+        raise ValueError(f"{path}: malformed row {line!r}")
     new = tuple.__new__
     rows = []
     for position, line in enumerate(lines[1:], start=1):
@@ -173,12 +178,10 @@ def load_trace(path: str | Path) -> EpisodeTrace:
         mode = CODE_MODE.get(code)
         if mode is None:
             raise ValueError(f"{path}: unknown mode code in row {line!r}")
-        # export_trace writes only what run_episode records: finite values,
-        # steps 1, 2, ... in order, speeds on the tenths grid and fractions.
-        if not (
-            isfinite(speed) and isfinite(occupancy) and isfinite(accuracy)
-            and isfinite(reward) and isfinite(cum_reward) and isfinite(purity)
-        ):
+        # export_trace writes only what run_episode records: finite values, steps 1, 2, ...
+        # in order, speeds on the tenths grid and fractions.  After the scan, only a number past
+        # the float range reads as inf; the code, speed and fraction checks refuse it elsewhere.
+        if not (math.isfinite(reward) and math.isfinite(cum_reward)):
             raise ValueError(f"{path}: non-finite value in row {line!r}")
         if step != position:
             raise ValueError(f"{path}: step {step} at row {position}: {line!r}")
@@ -187,12 +190,6 @@ def load_trace(path: str | Path) -> EpisodeTrace:
         if not (0.0 <= occupancy <= 1.0 and 0.0 <= accuracy <= 1.0 and 0.0 <= purity <= 1.0):
             raise ValueError(f"{path}: occupancy, accuracy or purity outside [0, 1] in row {line!r}")
         rows.append(new(TraceRow, (step, speed, mode, occupancy, accuracy, reward, cum_reward, purity)))
-    # int() and float() also take what _ROW_FORMAT never writes ("0_0.5", " 1", "5e-1",
-    # "+1", a "\r" line end), so the rows, from the header's "\n" on, may hold only its bytes.
-    body = data[len(_HEADER) - 1:]
-    if body.translate(None, _ROW_BYTES):
-        line = next(row for row in body.split(b"\n") if row.translate(None, _ROW_BYTES)).decode()
-        raise ValueError(f"{path}: malformed row {line!r}")
     return EpisodeTrace(rows)
 
 

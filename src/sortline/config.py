@@ -16,8 +16,9 @@ from .types import SPEED_INDICES, EnvVariant, InputType
 # in tenths so the defaults come out as exact decimal floats.
 DEFAULT_OCCUPANCY_LIMITS = tuple(min(max(11 - i, 1), 10) / 10 for i in SPEED_INDICES)
 
-# Largest action_penalty, r_acc or r_speed (the paper's are at most 0.5): no return or its square can overflow.
-MAX_REWARD_SCALE = 1e6
+# Largest obs_noise_level, action_penalty, r_acc or r_speed (the paper's are at most 0.5): no
+# observation noise width, return or square of a return can overflow.
+MAX_SCALE = 1e6
 
 
 class ConfigError(ValueError):
@@ -60,8 +61,8 @@ class EnvConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-            if value > MAX_REWARD_SCALE and name in ("action_penalty", "r_acc", "r_speed"):
-                raise ConfigError(f"{name} must be at most {MAX_REWARD_SCALE:g}, got {value}")
+            if value > MAX_SCALE and name != "abatement":
+                raise ConfigError(f"{name} must be at most {MAX_SCALE:g}, got {value}")
         for name in ("base_noise_range", "correct_mode_noise_range", "incorrect_mode_noise_range"):
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):

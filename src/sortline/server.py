@@ -26,8 +26,8 @@ Responses:
 Error codes: BAD_REQUEST (malformed, non-UTF-8 or too deeply nested line, a
 line longer than 64 KiB, or unknown type), BAD_CONFIG (``config`` not an
 object or null, unknown key, a value that is malformed, non-finite or out of
-range, an integer field such as ``seed`` given a non-integral number, or an
-``action_penalty``, ``r_acc`` or ``r_speed`` above 1e6), BAD_ACTION (a bad
+range, an integer field such as ``seed`` given a non-integral number, or a
+noise level, change penalty or reward weight above 1e6), BAD_ACTION (a bad
 speed or ``mode``, even after the episode's end), NO_EPISODE (step before any
 reset), EPISODE_DONE, INTERNAL (a server fault or a non-finite response; the
 traceback goes to stderr).  Errors leave the session usable.

@@ -7,6 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sortline import bench
 from sortline.agents import Agent, RuleBasedAgent
@@ -28,6 +29,15 @@ from sortline.config import ConfigError, EnvConfig
 from sortline.types import Action, EnvVariant, InputType, SortingMode
 
 GOLDEN = Path(__file__).parent / "golden" / "trace_basic_random_rba_seed42.csv"
+# A second trace row as export_trace writes it; the column position is the index into TRACE_COLUMNS.
+SECOND_ROW = "2,0.500000,0.000000,0.100000,1.000000,0.500000,1.000000,1.000000".split(",")
+# A step's fields after its step, as run_episode records them.
+finite = st.floats(allow_nan=False, allow_infinity=False)
+fraction = st.floats(0.0, 1.0)
+recorded_fields = st.tuples(
+    st.sampled_from(sorted(bench.TRACE_SPEEDS)), st.sampled_from(list(SortingMode)),
+    fraction, fraction, finite, finite, fraction,
+)
 
 
 class ConstantAgent(Agent):
@@ -225,22 +235,18 @@ class TestTraceFiles:
         path.write_text(",".join(TRACE_COLUMNS) + "\n1,0.5,0.0\n")
         with pytest.raises(ValueError):
             load_trace(path)
-        for code in ("0.700000", "nan"):  # not a mode code
-            path.write_text(",".join(TRACE_COLUMNS) + f"\n1,0.5,{code},0.1,1.0,0.5,0.5,1.0\n")
-            with pytest.raises(ValueError, match="mode code"):
-                load_trace(path)
-        # export_trace writes only finite values, an integer step and numbers.
+        path.write_text(",".join(TRACE_COLUMNS) + "\n1,0.5,0.700000,0.1,1.0,0.5,0.5,1.0\n")
+        with pytest.raises(ValueError, match="unknown mode code"):
+            load_trace(path)
+        # export_trace writes only finite values, an integer step and numbers; "nan" and
+        # "inf" hold bytes it never writes.
         header = ",".join(TRACE_COLUMNS)
         for row in (
+            "1,0.5,nan,0.1,1.0,0.5,0.5,1.0",
             "1,nan,0.0,0.1,1.0,0.5,0.5,1.0",
             "1,0.5,0.0,inf,1.0,0.5,0.5,1.0",
             "1,0.5,0.0,0.1,1.0,-inf,0.5,1.0",
             "1,0.5,0.0,0.1,1.0,0.5,0.5,NaN",
-        ):
-            path.write_text(f"{header}\n{row}\n")
-            with pytest.raises(ValueError, match="non-finite value"):
-                load_trace(path)
-        for row in (
             "x,0.5,0.0,0.1,1.0,0.5,0.5,1.0",
             "1.5,0.5,0.0,0.1,1.0,0.5,0.5,1.0",
             "1,fast,0.0,0.1,1.0,0.5,0.5,1.0",
@@ -249,7 +255,7 @@ class TestTraceFiles:
             "",
         ):
             path.write_text(f"{header}\n{row}\n")
-            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed row"):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: malformed row {row!r}')}$"):
                 load_trace(path)
 
     @pytest.mark.parametrize("row", [
@@ -290,12 +296,18 @@ class TestTraceFiles:
         assert [row.step for row in load_trace(path).rows] == [1, 2]
 
     @pytest.mark.parametrize("row", [
-        "2,0_0.5,0.000000,0.100000,1.000000,0.500000,1.000000,1.000000",
-        " 2,0.500000,0.000000,0.100000,1.000000,0.500000,1.000000,1.000000",
-        "2,5e-1,0.000000,0.100000,1.000000,0.500000,1.000000,1.000000",
-        "2,0.500000,0.000000,0.100000,1.000000,+1,1.000000,1.000000",
-        "2,0.500000,0.000000,0.100000,1.000000,0.500000,1.000000,1.000000\r",
-    ], ids=["underscore", "leading-space", "exponent", "plus-sign", "carriage-return"])
+        pytest.param("2,0_0.5,0.000000,0.100000,1.000000,0.500000,1.000000,1.000000", id="underscore"),
+        pytest.param(" 2,0.500000,0.000000,0.100000,1.000000,0.500000,1.000000,1.000000", id="leading-space"),
+        pytest.param("2,5e-1,0.000000,0.100000,1.000000,0.500000,1.000000,1.000000", id="exponent"),
+        pytest.param("2,0.500000,0.000000,0.100000,1.000000,+1,1.000000,1.000000", id="plus-sign"),
+        pytest.param("2,0.500000,0.000000,0.100000,1.000000,0.500000,1.000000,1.000000\r", id="carriage-return"),
+        *[
+            pytest.param(",".join([*SECOND_ROW[:column], token, *SECOND_ROW[column + 1:]]),
+                         id=f"{token}-{TRACE_COLUMNS[column]}")
+            for column in range(1, len(TRACE_COLUMNS))
+            for token in ("nan", "inf", "-inf", "Infinity")
+        ],
+    ])
     def test_load_refuses_tokens_export_never_writes(self, tmp_path, row):
         """int() and float() read each of these; the first such row is named."""
         path = tmp_path / "loose.csv"
@@ -305,6 +317,65 @@ class TestTraceFiles:
         path.write_bytes("\n".join([header, first, row, later, ""]).encode())
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: malformed row {row!r}')}$"):
             load_trace(path)
+
+    def test_a_foreign_byte_is_found_before_any_row_is_checked(self, tmp_path):
+        path = tmp_path / "two_faults.csv"
+        header = ",".join(TRACE_COLUMNS)
+        first = "0,0.500000,0.000000,0.100000,1.000000,0.500000,0.500000,1.000000"  # step 0 at row 1
+        second = "2,0.500000,0.000000,0.100000,1.000000,0.500000,1.000000,1.0e0"
+        path.write_text(f"{header}\n{first}\n{second}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: malformed row {second!r}')}$"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("column, fault", [
+        ("mode", "unknown mode code"),
+        ("speed", "speed off the tenths grid"),
+        ("occupancy", "occupancy, accuracy or purity outside [0, 1]"),
+        ("accuracy", "occupancy, accuracy or purity outside [0, 1]"),
+        ("reward", "non-finite value"),
+        ("cum_reward", "non-finite value"),
+        ("purity", "occupancy, accuracy or purity outside [0, 1]"),
+    ])
+    @pytest.mark.parametrize("number", ["9" * 400, "-" + "9" * 309 + ".000000"], ids=["above", "below"])
+    def test_a_number_past_the_float_range_is_refused(self, tmp_path, column, fault, number):
+        """Digits alone read as inf past the float range; export_trace writes only finite values."""
+        path = tmp_path / "overflow.csv"
+        fields = list(SECOND_ROW)
+        fields[0], fields[TRACE_COLUMNS.index(column)] = "1", number
+        path.write_text(",".join(TRACE_COLUMNS) + "\n" + ",".join(fields) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {fault}')}"):
+            load_trace(path)
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(recorded_fields, max_size=20))
+    def test_every_recordable_trace_round_trips(self, tmp_path, steps):
+        rows = [TraceRow(step, *fields) for step, fields in enumerate(steps, start=1)]
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        export_trace(EpisodeTrace(rows), first)
+        loaded = load_trace(first)
+        export_trace(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert [row.step for row in loaded.rows] == [row.step for row in rows]
+
+    def test_export_never_opens_with_o_trunc(self, tmp_path, monkeypatch):
+        """An existing file is cut only when it was longer, never to zero first (see export_trace)."""
+        trace, _ = run_episode(EnvConfig(), ConstantAgent(), steps=3, seed=1)
+        path = tmp_path / "trace.csv"
+        opened = []
+        real_open = os.open
+
+        def recording_open(file, flags, *args, **kwargs):
+            opened.append((file, flags))
+            return real_open(file, flags, *args, **kwargs)
+
+        monkeypatch.setattr(bench.os, "open", recording_open)
+        export_trace(trace, path)  # a fresh file
+        path.write_bytes(b"x" * 4096)
+        export_trace(trace, path)  # a longer one
+        flags = [flag for file, flag in opened if file == path]
+        assert len(flags) == 2
+        for flag in flags:
+            assert flag & os.O_CREAT and not flag & os.O_TRUNC
 
     def test_reference_trace_replays_byte_for_byte(self, tmp_path):
         config = EnvConfig()

@@ -274,8 +274,9 @@ class TestConfigPlumbing:
         [
             ("simulate", [], "action_penalty = 1e308\ninput_type = seasonal\n"),
             ("benchmark", ["--agents", "rba", "--seeds", "2", "--steps", "5"], "r_acc = 1e200\nr_speed = 1e200\n"),
+            ("simulate", [], "obs_noise_level = 1e308\n"),
         ],
-        ids=["simulate", "benchmark"],
+        ids=["simulate", "benchmark", "noise-level"],
     )
     def test_reward_scales_that_overflow_are_one_error_line(self, tmp_path, capsys, command, flags, line):
         config = tmp_path / "huge.cfg"

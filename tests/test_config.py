@@ -63,7 +63,7 @@ def test_default_occupancy_limits_descend_from_one():
         {"correct_mode_noise_range": (math.inf, math.inf)},
         {"incorrect_mode_noise_range": (math.nan, 0.2)},
         {"r_acc": 1.7e308, "r_speed": 1.7e308},
-        {"action_penalty": 1e308},  # reward scales above config.MAX_REWARD_SCALE: returns or their squares overflow
+        {"action_penalty": 1e308},  # scales above config.MAX_SCALE: returns or their squares overflow
         {"r_acc": 1e200, "r_speed": 1e200},
         {"r_speed": 1.000001e6},
         {"episode_length": 2.5},
@@ -72,6 +72,8 @@ def test_default_occupancy_limits_descend_from_one():
         {"episode_length": "50"},
         {"seed": 1.5},
         {"seed": True},
+        {"obs_noise_level": 1e308},  # level + level overflows, so every observed total reads 1.0
+        {"obs_noise_level": 1.000001e6},
     ],
 )
 def test_validation_rejects(overrides):
@@ -79,6 +81,11 @@ def test_validation_rejects(overrides):
 
     with pytest.raises(ConfigError):
         replace(EnvConfig(), **overrides).validate()
+
+
+def test_scales_at_the_bound_are_accepted():
+    EnvConfig(obs_noise_level=1e6, action_penalty=1e6, r_acc=1e6, r_speed=1e6).validate()
+    EnvConfig(abatement=1e308).validate()  # unbounded: the accuracy drop it scales is clamped to [0, 1]
 
 
 class TestDigest:

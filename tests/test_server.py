@@ -195,6 +195,7 @@ class TestSession:
             {"type": "reset", "config": {"seed": True}},
             {"type": "reset", "config": {"action_penalty": False}},
             {"type": "reset", "seed": 1.5},
+            {"type": "reset", "config": {"obs_noise_level": 1e308}},
         ],
     )
     def test_bad_configs(self, request_payload):
