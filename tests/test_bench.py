@@ -422,14 +422,59 @@ class TestTraceFiles:
         0.1, 0.4, 0.5, -0.6, 1.0, 1e300, -1e300, 5e-324, float("inf"), float("nan"),
     ])
     def test_row_format_matches_the_format_spec(self, value):
-        """``_ROW_FORMAT`` writes the bytes a ``:.6f`` f-string row writes."""
+        """``_ROW_FORMAT`` writes the bytes a ``:.6f`` f-string row writes; it takes the speed and
+        mode-code columns as text already rendered."""
         fields = (7, value, value, value, value, value, value, value)
         step, speed, code, occupancy, accuracy, reward, cum_reward, purity = fields
         expected = (
             f"{step},{speed:.6f},{code:.6f},{occupancy:.6f},{accuracy:.6f},"
             f"{reward:.6f},{cum_reward:.6f},{purity:.6f}\n"
         )
-        assert bench._ROW_FORMAT % fields == expected
+        assert bench._ROW_FORMAT % (step, f"{speed:.6f}", f"{code:.6f}", *fields[3:]) == expected
+
+    def test_speed_and_mode_text_is_rendered_at_six_decimals(self):
+        assert bench._SPEED_TEXT == {speed: f"{speed:.6f}" for speed in bench.TRACE_SPEEDS}
+        assert len(bench._SPEED_TEXT) == 10
+        assert bench._MODE_TEXT == {mode: f"{MODE_CODE[mode]:.6f}" for mode in SortingMode}
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(recorded_fields, max_size=300))
+    def test_export_writes_a_format_spec_row_per_step(self, tmp_path, steps):
+        """One format call over the whole trace writes what a ``:.6f`` f-string per row writes."""
+        rows = [TraceRow(step, *fields) for step, fields in enumerate(steps, start=1)]
+        path = tmp_path / "trace.csv"
+        export_trace(EpisodeTrace(rows), path)
+        codes = {SortingMode.BASIC: 0.0, SortingMode.POSITIVE: 0.5, SortingMode.NEGATIVE: 1.0}
+        expected = "step,speed,mode,occupancy,accuracy,reward,cum_reward,purity\n" + "".join(
+            f"{r.step},{r.speed:.6f},{codes[r.mode]:.6f},{r.occupancy:.6f},{r.accuracy:.6f},"
+            f"{r.reward:.6f},{r.cum_reward:.6f},{r.purity:.6f}\n"
+            for r in rows
+        )
+        assert path.read_bytes() == expected.encode("ascii")
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("speed", 0.55, "speed 0.55 is off the tenths grid"),
+        ("mode", None, "None is not a sorting mode"),
+        ("mode", "fast", "'fast' is not a sorting mode"),
+    ])
+    def test_export_refuses_a_row_it_could_not_load_before_opening(self, tmp_path, monkeypatch, column, value, message):
+        good = TraceRow(1, 0.5, SortingMode.BASIC, 0.1, 1.0, 0.5, 0.5, 1.0)
+        rows = [good, good._replace(step=2, **{column: value}), good._replace(step=3)]
+        path = tmp_path / "kept.csv"
+        path.write_bytes(b"old bytes\n")
+        opened = []
+        monkeypatch.setattr(bench.os, "open", lambda *args, **kwargs: opened.append(args))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            export_trace(EpisodeTrace(rows), path)
+        assert opened == []
+        assert path.read_bytes() == b"old bytes\n"
+
+    def test_a_crlf_trace_is_not_a_trace_file(self, tmp_path):
+        """The header's line end is checked as bytes, before any row."""
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(GOLDEN.read_bytes().replace(b"\n", b"\r\n"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a trace file$"):
+            load_trace(path)
 
 
 class TestStandardSetups:
