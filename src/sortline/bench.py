@@ -21,6 +21,9 @@ from .types import SPEED_INDICES, EnvVariant, InputType, SortingMode, speed_frac
 # Numeric mode coding used in trace files, chosen to sit on a 0..1 plot axis.
 MODE_CODE = {SortingMode.BASIC: 0.0, SortingMode.POSITIVE: 0.5, SortingMode.NEGATIVE: 1.0}
 CODE_MODE = {code: mode for mode, code in MODE_CODE.items()}
+# Read once here for run_episode's steps, as tests/test_hot_path.py asks (see env).
+_BASIC_MODE = SortingMode.BASIC
+_new_tuple = tuple.__new__  # builds a TraceRow in C, as env.step builds its records
 
 
 class TraceRow(NamedTuple):
@@ -106,9 +109,8 @@ def run_episode(
         config = replace(config, episode_length=length)  # checks length >= 1
     env = SortingLineEnv(config)
     obs = env.reset(seed)
-    new = tuple.__new__  # builds a TraceRow in C, as env.step builds its records
     rows: list[TraceRow] = []
-    act, step_env, notify, append = agent.act, env.step, agent.notify, rows.append
+    act, step_env, notify, append, new = agent.act, env.step, agent.notify, rows.append, _new_tuple
     cum_reward = 0.0
     for step in range(1, length + 1):
         action = act(obs)
@@ -117,7 +119,7 @@ def run_episode(
         obs, reward, _, info = result
         cum_reward += reward
         append(new(TraceRow, (
-            step, info["speed"], action.mode or SortingMode.BASIC, info["occupancy"], info["accuracy"],
+            step, info["speed"], action.mode or _BASIC_MODE, info["occupancy"], info["accuracy"],
             reward, cum_reward, info["purity"],
         )))
     trace = EpisodeTrace(rows, config.digest(seed), seed, agent.name)
@@ -175,7 +177,7 @@ def load_trace(path: str | Path) -> EpisodeTrace:
     if body.translate(None, _ROW_BYTES):
         line = next(row for row in body.split(b"\n") if row.translate(None, _ROW_BYTES)).decode()
         raise ValueError(f"{path}: malformed row {line!r}")
-    new = tuple.__new__
+    new = _new_tuple
     rows = []
     for position, line in enumerate(lines[1:], start=1):
         try:

@@ -40,6 +40,13 @@ from .types import (
 )
 
 
+# Read once here, as tests/test_hot_path.py asks of per-step code: CPython 3.11 does not specialize an
+# attribute load from a class, and an Enum member load also runs EnumType's __getattr__ hook.
+_ADVANCED = EnvVariant.ADVANCED
+_new_tuple = tuple.__new__
+_flatten = chain.from_iterable
+
+
 class EpisodeDoneError(RuntimeError):
     """step() was called on a finished episode."""
 
@@ -84,7 +91,7 @@ def draw_tape(config: EnvConfig, generator: InputGenerator, obs_stream: random.R
     if level > 0.0:
         uniform01 = obs_stream.random  # uniform(-level, level) written out: level + level is exactly level - (-level)
         totals = [clamp01(occ * (1.0 + (-level + (level + level) * uniform01()))) for occ in occs]
-    advanced = config.variant is EnvVariant.ADVANCED
+    advanced = config.variant is _ADVANCED
     return zip(mixes, occs, totals, [classify_ratio(mix) for mix in mixes] if advanced else [None] * count)
 
 
@@ -97,7 +104,7 @@ def open_episode(config: EnvConfig, root: int, steps: int) -> tuple[random.Rando
     obs_stream = make_stream(root, OBSERVATION_STREAM) if config.obs_noise_level > 0.0 else None
     starts = range(0, steps + 1, TAPE_CHUNK)
     chunks = (draw_tape(config, generator, obs_stream, min(TAPE_CHUNK, steps + 1 - s)) for s in starts)
-    return sorting_stream, chain.from_iterable(chunks)
+    return sorting_stream, _flatten(chunks)
 
 
 def price_step(
@@ -137,7 +144,7 @@ class SortingLineEnv:
         root = self.config.seed if seed is None else check_field("seed", seed)
         self._sorting_stream, self._tape = open_episode(self.config, root, self.config.episode_length)
         mix, self._input_occupancy, total, category = next(self._tape)
-        self._obs = tuple.__new__(Observation, (total, category))
+        self._obs = _new_tuple(Observation, (total, category))
         self._state = EnvState(
             input=mix,
             belt=EMPTY_MIX,
@@ -192,5 +199,5 @@ class SortingLineEnv:
             "mode_correct": None if action.mode is None else action.mode is correct,
         }
         # Built in C by tuple.__new__, as is StepResult: NamedTuple's generated __new__ runs Python.
-        self._obs = tuple.__new__(Observation, (total, category))
-        return tuple.__new__(StepResult, (self._obs, reward, step_count >= config.episode_length, info))
+        self._obs = _new_tuple(Observation, (total, category))
+        return _new_tuple(StepResult, (self._obs, reward, step_count >= config.episode_length, info))

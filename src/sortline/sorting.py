@@ -18,6 +18,9 @@ INCORRECT_MODE_MALUS = 0.10
 # Ratio bounds of the mode regimes: mostly-A above 3, mostly-B below 1/3.
 POSITIVE_RATIO = 3.0
 
+# The members, read once here as tests/test_hot_path.py asks of per-step code (see env).
+_BASIC, _POSITIVE, _NEGATIVE = SortingMode.BASIC, SortingMode.POSITIVE, SortingMode.NEGATIVE
+
 
 def clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
@@ -56,10 +59,10 @@ def classify_ratio(mix: MaterialMix) -> SortingMode:
     """
     a, b = mix
     if a > POSITIVE_RATIO * b:
-        return SortingMode.POSITIVE
+        return _POSITIVE
     if b > POSITIVE_RATIO * a:
-        return SortingMode.NEGATIVE
-    return SortingMode.BASIC
+        return _NEGATIVE
+    return _BASIC
 
 
 def apply_mode(
@@ -76,11 +79,17 @@ def apply_mode(
     and draws heavy noise.
     Exactly one draw is consumed either way.
     """
+    # The caps are min(x, 1.0) and max(x, 0.0) written out: the bound replaces x only when
+    # x compares strictly beyond it, so ties and NaN come out as the builtins return them.
     if chosen is correct:
-        adjusted = min(alpha + CORRECT_MODE_BONUS, 1.0)
+        adjusted = alpha + CORRECT_MODE_BONUS
+        if adjusted > 1.0:
+            adjusted = 1.0
         lo, hi = config.correct_mode_noise_range
     else:
-        adjusted = max(alpha - INCORRECT_MODE_MALUS, 0.0)
+        adjusted = alpha - INCORRECT_MODE_MALUS
+        if adjusted < 0.0:
+            adjusted = 0.0
         lo, hi = config.incorrect_mode_noise_range
     return clamp01(adjusted - stream.uniform(lo, hi))
 

@@ -44,6 +44,8 @@ class SortingMode(Enum):
 
 # Tiny slack absorbs float dust from sorting arithmetic on full stages.
 _CAPACITY_WITH_SLACK = STAGE_CAPACITY + 1e-6
+# Read once here, as tests/test_hot_path.py asks of per-step code (see env).
+_new_tuple = tuple.__new__
 
 
 class _Mix(NamedTuple):
@@ -67,7 +69,7 @@ class MaterialMix(_Mix):
             raise ValueError(f"negative or NaN material quantity: a={a}, b={b}")
         if a + b > _CAPACITY_WITH_SLACK:
             raise ValueError(f"stage over capacity: a={a}, b={b}")
-        return tuple.__new__(cls, (a, b))
+        return _new_tuple(cls, (a, b))
 
     @classmethod
     def _make(cls, iterable) -> "MaterialMix":

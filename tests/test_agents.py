@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import sortline
 from conftest import record_streams
@@ -136,6 +137,26 @@ class TestBinning:
         assert bin_index(0.05) == 1
         assert bin_index(0.9999) == 19
         assert bin_index(1.0) == 19  # top edge folds into the last bin
+
+    @staticmethod
+    def truncated(value):
+        """The bin by int(), as bin_index computed it before it took math.floor."""
+        return min(int(value * BINS), BINS - 1)
+
+    @given(st.floats(0.0, 1.0))
+    def test_floor_bins_as_truncation_does(self, value):
+        b = bin_index(value)
+        assert type(b) is int and b == self.truncated(value)
+
+    def test_floor_bins_as_truncation_does_at_every_edge(self):
+        edges = [k / BINS for k in range(BINS + 1)]
+        values = [0.0, -0.0, 1.0] + [
+            v for edge in edges for v in (math.nextafter(edge, -1.0), edge, math.nextafter(edge, 2.0)) if 0.0 <= v <= 1.0
+        ]
+        assert len(values) == 3 + 3 * (BINS + 1) - 2
+        for value in values:
+            b = bin_index(value)
+            assert type(b) is int and b == self.truncated(value), value
 
     def test_out_of_range_is_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,12 @@
-"""The training and stepping paths make no star-call (``CALL_FUNCTION_EX``), which CPython 3.11+ cannot run inline."""
+"""Two rules for the training and stepping paths, each a slow path of CPython 3.11:
 
+* no star-call (``CALL_FUNCTION_EX``), which CPython 3.11+ cannot run inline;
+* no attribute load from a class named by a global (``SortingMode.BASIC``, ``tuple.__new__``): 3.11 does not
+  specialize class attribute loads, and an Enum member load also runs ``EnumType.__getattr__``.  Such values are
+  read once at import into module constants.
+"""
+
+import builtins
 import dis
 import types
 
@@ -56,3 +63,25 @@ def test_no_star_calls(function):
         if instruction.opname == "CALL_FUNCTION_EX"
     ]
     assert star_calls == []
+
+
+def loads_class_attribute(instruction, following, namespace) -> bool:
+    """Whether ``instruction`` loads a global naming a class whose attribute ``following`` then loads."""
+    if instruction.opname != "LOAD_GLOBAL" or following.opname not in ("LOAD_ATTR", "LOAD_METHOD"):
+        return False
+    name = instruction.argval
+    value = namespace[name] if name in namespace else getattr(builtins, name, None)
+    return isinstance(value, type)
+
+
+@pytest.mark.parametrize("function", HOT_PATH, ids=lambda f: f.__qualname__)
+def test_no_class_attribute_loads(function):
+    class_loads = []
+    for code in code_objects(function.__code__):
+        instructions = list(dis.get_instructions(code))
+        class_loads += [
+            (code.co_name, instruction.argval, following.argval)
+            for instruction, following in zip(instructions, instructions[1:])
+            if loads_class_attribute(instruction, following, function.__globals__)
+        ]
+    assert class_loads == []

@@ -1,6 +1,7 @@
 """Sorter physics: pinned examples plus property tests for the invariants."""
 
 import itertools
+import math
 from dataclasses import astuple, replace
 
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import given, strategies as st
 from sortline.config import EnvConfig
 from sortline.rng import SORTING_STREAM, make_stream
 from sortline.sorting import (
+    CORRECT_MODE_BONUS,
+    INCORRECT_MODE_MALUS,
     apply_mode,
     base_accuracy,
+    clamp01,
     classify_ratio,
     deterministic_accuracy,
     occupancy,
@@ -139,6 +143,31 @@ class TestApplyMode:
             0.75, SortingMode.NEGATIVE, SortingMode.BASIC, pinned((0.1, 0.1)), stream()
         )
         assert value == pytest.approx(0.55)
+
+    @staticmethod
+    def capped_by_builtins(alpha, chosen, correct, config, stream):
+        """apply_mode as it was written with min and max."""
+        if chosen is correct:
+            adjusted = min(alpha + CORRECT_MODE_BONUS, 1.0)
+            lo, hi = config.correct_mode_noise_range
+        else:
+            adjusted = max(alpha - INCORRECT_MODE_MALUS, 0.0)
+            lo, hi = config.incorrect_mode_noise_range
+        return clamp01(adjusted - stream.uniform(lo, hi))
+
+    @pytest.mark.parametrize("chosen", [SortingMode.BASIC, SortingMode.POSITIVE], ids=["fitting", "missing"])
+    @given(alpha=st.floats(0.0, 1.0))
+    def test_caps_as_min_and_max_do(self, chosen, alpha):
+        for config in (CONFIG, pinned((0.0, 0.0))):
+            ours, theirs = stream(), stream()
+            for value in (alpha, 1.0 - CORRECT_MODE_BONUS, INCORRECT_MODE_MALUS, 0.0, 1.0):
+                got = apply_mode(value, chosen, SortingMode.BASIC, config, ours)
+                assert got == self.capped_by_builtins(value, chosen, SortingMode.BASIC, config, theirs)
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("chosen", [SortingMode.BASIC, SortingMode.POSITIVE], ids=["fitting", "missing"])
+    def test_nan_accuracy_stays_nan(self, chosen):
+        assert math.isnan(apply_mode(math.nan, chosen, SortingMode.BASIC, CONFIG, stream()))
 
     @given(st.floats(0.0, 1.0))
     def test_result_stays_in_unit_interval(self, alpha):
